@@ -16,6 +16,7 @@ bisection against the exact scalar inequality.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -246,10 +247,7 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     if res_min < 0.0 or late < 0.0:
         raise ValueError(f"supersolution residual is negative on the lattice "
                          f"(min {min(res_min, late):.3e}); certificate refused")
-    return GaussianCertificate(n=n, p=p, q=q, b=b, k=k, eps=eps, C_grad=c_grad,
-                               residual_min=res_min, verified=True,
-                               r_max=r_max, t_max=t_max,
-                               lattice_points=lattice_points)
+    return dataclasses.replace(cert, residual_min=res_min, verified=True)
 
 
 # ---------------------------------------------------------------------------

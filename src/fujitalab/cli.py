@@ -135,7 +135,6 @@ def parse_scenario(doc: dict):
         b=_number(prob.get("b", 1.0), "problem.b"),
         use_source=bool(prob.get("use_source", True)),
         use_gradient=bool(prob.get("use_gradient", True)),
-        forcing=forcing if forcing.kind != "none" else None,
     )
 
     gr = doc["grid"]
@@ -388,30 +387,30 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    def shown(value: Optional[float]) -> str:
+        if value is None:
+            return "undefined for n = 1"
+        if math.isinf(value):
+            return "infinity (convention n/(n-2) = infinity for n = 2)"
+        return repr(float(value))
+
     rows = [
-        ("p_F = 1 + 2/n", crit.p_fujita,
+        ("p_F = 1 + 2/n", shown(crit.p_fujita),
          "positive data: blow-up for every p <= p_F (source branch)"),
-        ("q_F = 1 + 1/(n+1)", crit.q_fujita,
+        ("q_F = 1 + 1/(n+1)", shown(crit.q_fujita),
          "positive data: blow-up for every q <= q_F (gradient branch)"),
-        ("q_1(n,p) = 1 + 1/(np-1)", None,
+        ("q_1(n,p) = 1 + 1/(np-1)", "formula of p",
          "nonnegative-mean data: blow-up when (q-1)(np-1) <= 1"),
-        ("p* = n/(n-2)", crit.p_star,
+        ("p* = n/(n-2)", shown(crit.p_star),
          "forced problem: blow-up for p < p* with positive-mass forcing"),
-        ("q* = n/(n-1)", crit.q_star,
+        ("q* = n/(n-1)", shown(crit.q_star),
          "forced problem: blow-up for q < q* with positive-mass forcing"),
     ]
     doc = {"schema": SCHEMA_VERSION, "n": args.n, "rows": []}
-    for name, value, meaning in rows:
-        if value is None and name.startswith("q_1"):
-            shown = "formula of p"
-        elif value is None:
-            shown = "undefined for n = 1"
-        elif math.isinf(value):
-            shown = "infinity (convention n/(n-2) = infinity for n = 2)"
-        else:
-            shown = repr(float(value))
-        doc["rows"].append({"name": name, "value": shown, "governs": meaning})
-        print(f"{name:26s} {shown:44s} {meaning}")
+    for name, shown_value, meaning in rows:
+        doc["rows"].append({"name": name, "value": shown_value, "governs": meaning})
+        print(f"{name:26s} {shown_value:44s} {meaning}")
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(doc, indent=2, sort_keys=True),
                                        encoding="utf-8")

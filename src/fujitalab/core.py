@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .certificates import ForcingSpec
+from typing import Optional, Union
 
 Real = Union[int, float, Fraction]
 
@@ -43,7 +40,6 @@ class ProblemParams:
     b: Real = 1.0
     use_source: bool = True
     use_gradient: bool = True
-    forcing: "Optional[ForcingSpec]" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:

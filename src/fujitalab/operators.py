@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import ProblemParams
 from .grid import Field, RadialGrid, integrate
@@ -91,8 +92,29 @@ def laplacian_banded(grid: RadialGrid) -> Tuple[np.ndarray, float]:
     return ab, c_boundary
 
 
+BandedLU = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def banded_lu(ab: np.ndarray) -> BandedLU:
+    """LAPACK ``dgttrf`` factors of a tridiagonal matrix in (1,1) banded layout.
+
+    ``dgttrf`` followed by ``dgttrs`` pivots and rounds exactly as the
+    ``dgtsv`` behind ``solve_banded((1, 1), ab, b)``, so a solve from these
+    factors is bit-identical to that call.
+    """
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise LinAlgError("singular matrix")
+    return tuple(lu)
+
+
+def banded_lu_solve(lu: BandedLU, b: np.ndarray) -> np.ndarray:
+    """Solve with factors from ``banded_lu``; ``b`` is overwritten."""
+    x, _ = dgttrs(*lu, b, overwrite_b=True)
+    return x
+
+
 def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = x.size
     y = ab[1] * x
     y[:-1] += ab[0, 1:] * x[1:]
     y[1:] += ab[2, :-1] * x[:-1]
@@ -126,6 +148,7 @@ def principal_eigenpair(n: int, R: float, M: int,
     grid = RadialGrid(n, float(R), M)
     ab, _ = laplacian_banded(grid)
     neg = -ab  # -Lap is positive definite on Dirichlet functions
+    lu = banded_lu(neg)
 
     x = 1.0 - (grid.nodes[:-1] / R) ** 2
     x /= np.linalg.norm(x)
@@ -133,7 +156,7 @@ def principal_eigenpair(n: int, R: float, M: int,
     lam = np.nan
     stagnant = 0
     for _ in range(max_iter):
-        y = solve_banded((1, 1), neg, x)
+        y = banded_lu_solve(lu, x)
         y /= np.linalg.norm(y)
         by = _banded_matvec(neg, y)
         lam = float(y @ by)

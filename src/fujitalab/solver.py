@@ -5,6 +5,12 @@ per step), the nonlinear reaction explicit.  The step size halves whenever
 a step produces a non-finite state or grows the sup norm by more than
 ``growth_cap`` relative, and grows by 1.2x up to ``dt_max`` otherwise.
 
+The implicit matrix I - theta dt A depends on the step only through dt, and
+dt only takes the values dt_init 1.2^k 2^-j capped at dt_max, so an
+``ImexStepper`` keeps the LU factors of the last ``LU_CACHE_SIZE`` (32) dt
+values and solves each step from them; the oldest entry is evicted first.
+The cached solve is bit-identical to refactoring on every step.
+
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
 numerically observed blow-up is evidence in the safe direction, while
@@ -17,16 +23,18 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
+from scipy.linalg import solve_banded  # noqa: F401
 
 from .certificates import kaplan_functional
 from .core import ProblemParams
 from .grid import Field, RadialGrid, integrate
-from .operators import (Eigenpair, gradient_magnitude, laplacian,
-                        laplacian_banded, principal_eigenpair, rhs)
+from .operators import (BandedLU, Eigenpair, banded_lu, banded_lu_solve,
+                        gradient_magnitude, laplacian, laplacian_banded,
+                        principal_eigenpair, rhs)
 
 TRUNCATION_NOTE = (
     "Dirichlet truncation on B_L: observed blow-up transfers to the whole-space "
@@ -89,29 +97,56 @@ class SolveOutcome:
     snapshots: Optional[List[Tuple[float, Field]]] = None
 
 
+LU_CACHE_SIZE = 32
+
+
+class ImexStepper:
+    """The implicit half of the theta scheme on one grid.
+
+    Holds the banded Laplacian A (boundary node eliminated) and the LU
+    factors of I - theta dt A for up to ``LU_CACHE_SIZE`` distinct dt,
+    keyed by the exact float dt and evicted oldest first.
+    """
+
+    def __init__(self, grid: RadialGrid, theta: float) -> None:
+        self.theta = theta
+        self.ab, self.c_boundary = laplacian_banded(grid)
+        self._factors: Dict[float, BandedLU] = {}
+
+    def solve(self, dt: float, b: np.ndarray) -> np.ndarray:
+        """x with (I - theta dt A) x = b; ``b`` is overwritten."""
+        lu = self._factors.get(dt)
+        if lu is None:
+            a = -self.theta * dt * self.ab
+            a[1] += 1.0
+            lu = banded_lu(a)
+            if len(self._factors) >= LU_CACHE_SIZE:
+                del self._factors[next(iter(self._factors))]
+            self._factors[dt] = lu
+        return banded_lu_solve(lu, b)
+
+
 def step(u: Field, dt: float, params: ProblemParams, h: Optional[Field] = None,
          theta: float = 1.0) -> Field:
     """One IMEX theta step; the boundary value of u is held fixed."""
-    ab, c_boundary = laplacian_banded(u.grid)
-    return _step(u, dt, params, h, theta, ab, c_boundary)
+    return _step(ImexStepper(u.grid, theta), u, dt, params, h)
 
 
-def _step(u: Field, dt: float, params: ProblemParams, h: Optional[Field],
-          theta: float, ab: np.ndarray, c_boundary: float) -> Field:
+def _step(stepper: ImexStepper, u: Field, dt: float, params: ProblemParams,
+          h: Optional[Field]) -> Field:
     v = u.values
+    theta = stepper.theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         react = rhs(u, params, h).values
         rhs_vec = v[:-1] + dt * react[:-1]
         if theta < 1.0:
             rhs_vec = rhs_vec + dt * (1.0 - theta) * laplacian(u).values[:-1]
-        rhs_vec[-1] += theta * dt * c_boundary * v[-1]
-        a_builder = np.zeros_like(ab)
-        a_builder[:] = -theta * dt * ab
-        a_builder[1] += 1.0
+        rhs_vec[-1] += theta * dt * stepper.c_boundary * v[-1]
         if not np.all(np.isfinite(rhs_vec)):
             return Field(u.grid, np.full_like(v, np.nan))
-        new = solve_banded((1, 1), a_builder, rhs_vec)
-    out = np.concatenate([new, [v[-1]]])
+        out = np.empty_like(v)
+        out[:-1] = stepper.solve(dt, rhs_vec)
+    out[-1] = v[-1]
     return Field(u.grid, out)
 
 
@@ -128,6 +163,15 @@ def _record(t: float, dt: float, u: Field,
     )
 
 
+def _observe(trace: List[TraceRecord],
+             snapshots: Optional[List[Tuple[float, Field]]],
+             t: float, dt: float, u: Field, pair: Optional[Eigenpair]) -> None:
+    """Append a trace record and, when fields are stored, a snapshot."""
+    trace.append(_record(t, dt, u, pair))
+    if snapshots is not None:
+        snapshots.append((t, u.copy()))
+
+
 def run(params: ProblemParams, u0: Field, h: Optional[Field],
         config: SolveConfig) -> SolveOutcome:
     """Advance the problem from u0 with adaptive steps until the horizon,
@@ -135,7 +179,7 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
     if h is not None and h.grid != u0.grid:
         raise ValueError("forcing and initial data live on different grids")
     grid = u0.grid
-    ab, c_boundary = laplacian_banded(grid)
+    stepper = ImexStepper(grid, config.theta_scheme)
     pair = None
     if config.kaplan_R is not None:
         if config.kaplan_R > grid.L:
@@ -143,20 +187,18 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
         pair = principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))
 
     u = u0.copy()
+    sup = float(np.max(np.abs(u.values)))
     t = 0.0
     dt = config.dt_init
     halvings = 0
     accepted = 0
-    trace: List[TraceRecord] = [_record(t, dt, u, pair)]
-    snapshots: Optional[List[Tuple[float, Field]]] = None
-    if config.store_fields:
-        snapshots = [(t, u.copy())]
+    trace: List[TraceRecord] = []
+    snapshots: Optional[List[Tuple[float, Field]]] = [] if config.store_fields else None
+    _observe(trace, snapshots, t, dt, u, pair)
 
     def finish(status: SolveStatus, **kw) -> SolveOutcome:
-        if not trace or trace[-1].t < t:
-            trace.append(_record(t, dt, u, pair))
-            if snapshots is not None:
-                snapshots.append((t, u.copy()))
+        if trace[-1].t < t:
+            _observe(trace, snapshots, t, dt, u, pair)
         out = SolveOutcome(status=status, trace=trace, final_field=u,
                            snapshots=snapshots, **kw)
         if status is SolveStatus.BLOW_UP:
@@ -168,30 +210,27 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
 
     while t < config.t_end - 1e-14 * max(1.0, config.t_end):
         dt_try = min(dt, config.t_end - t)
-        candidate = _step(u, dt_try, params, h, config.theta_scheme, ab, c_boundary)
-        sup_old = float(np.max(np.abs(u.values)))
-        finite = bool(np.all(np.isfinite(candidate.values)))
-        if finite:
-            sup_new = float(np.max(np.abs(candidate.values)))
-            growth = (sup_new - sup_old) / max(sup_old, 1e-300)
-        else:
-            growth = math.inf
+        candidate = _step(stepper, u, dt_try, params, h)
+        # NaN and inf both propagate through the max, so a finite sup
+        # means a finite candidate
+        sup_new = float(np.max(np.abs(candidate.values)))
+        finite = math.isfinite(sup_new)
+        growth = (sup_new - sup) / max(sup, 1e-300) if finite else math.inf
         if finite and growth <= config.growth_cap:
             u = candidate
+            sup = sup_new
             t += dt_try
             halvings = 0
             accepted += 1
             if accepted % config.trace_stride == 0:
-                trace.append(_record(t, dt_try, u, pair))
-                if snapshots is not None:
-                    snapshots.append((t, u.copy()))
-            if float(np.max(np.abs(u.values))) >= config.blowup_threshold:
+                _observe(trace, snapshots, t, dt_try, u, pair)
+            if sup >= config.blowup_threshold:
                 return finish(SolveStatus.BLOW_UP)
             dt = min(dt * 1.2, config.dt_max)
         else:
             halvings += 1
             dt = dt / 2.0
-            at_threshold = sup_old >= config.blowup_threshold
+            at_threshold = sup >= config.blowup_threshold
             if at_threshold and halvings >= 3:
                 return finish(SolveStatus.BLOW_UP)
             if dt < config.dt_min:
@@ -201,9 +240,7 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
                 # trace shows a sustained super-linear growth signature,
                 # otherwise report an unresolvable stall
                 if trace[-1].t < t:
-                    trace.append(_record(t, dt, u, pair))
-                    if snapshots is not None:
-                        snapshots.append((t, u.copy()))
+                    _observe(trace, snapshots, t, dt, u, pair)
                 suffix = _increasing_suffix(trace)
                 # asymptote evidence: the remaining-time proxy sup^(1-p)
                 # contracted by >= 3 decades over the growing tail

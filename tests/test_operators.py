@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from fujitalab.core import ProblemParams
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
-from fujitalab.operators import (gradient_magnitude, laplacian,
+from fujitalab.operators import (banded_lu, banded_lu_solve,
+                                 gradient_magnitude, laplacian,
                                  principal_eigenpair, rhs)
 
 
@@ -175,3 +177,19 @@ def test_eigenpair_residual_and_positivity():
     assert resid / np.max(np.abs(pair.phi.values)) < 1e-6
     assert np.all(pair.phi.values[:-1] > 0)
     assert pair.phi.values[-1] == 0.0
+
+
+def test_banded_lu_solve_bitwise_equals_solve_banded_with_pivoting():
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((3, 200))
+    ab[1, ::3] *= 1e-3  # small pivots force row interchanges
+    b = rng.standard_normal(200)
+    expected = solve_banded((1, 1), ab, b)
+    assert np.array_equal(banded_lu_solve(banded_lu(ab), b.copy()), expected)
+
+
+def test_banded_lu_singular_raises():
+    ab = np.zeros((3, 5))
+    ab[1] = [1.0, 1.0, 0.0, 1.0, 1.0]
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        banded_lu(ab)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from fujitalab import solver
 from fujitalab.core import ProblemParams
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, sample_profile
-from fujitalab.solver import (SolveConfig, SolveStatus, TraceRecord,
-                              comparison_tolerance, detect_blowup,
-                              heat_reference, measure_plateau, run, step,
-                              trace_to_csv)
+from fujitalab.operators import laplacian_banded
+from fujitalab.solver import (LU_CACHE_SIZE, ImexStepper, SolveConfig,
+                              SolveStatus, TraceRecord, comparison_tolerance,
+                              detect_blowup, heat_reference, measure_plateau,
+                              run, step, trace_to_csv)
 
 
 def synthetic_trace(ts, sups):
@@ -31,6 +34,70 @@ def test_step_preserves_boundary_value():
     params = ProblemParams(n=3, p=2, q=2, b=1.0)
     out = step(u, 1e-3, params)
     assert out.values[-1] == u.values[-1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_stepper_solve_bitwise_equals_solve_banded(n, theta):
+    g = RadialGrid(n, 10.0, 300)
+    ab, _ = laplacian_banded(g)
+    stepper = ImexStepper(g, theta)
+    rng = np.random.default_rng(7)
+    for dt in (1e-7, 1e-4, 1e-3 * 1.2 ** 5 / 4, 5e-2, 3.0):
+        a = -theta * dt * ab
+        a[1] += 1.0
+        b = rng.standard_normal(g.M + 1)
+        expected = solve_banded((1, 1), a, b)
+        for _ in range(2):  # a fresh factorization, then the cached one
+            assert np.array_equal(stepper.solve(dt, b.copy()), expected)
+
+
+def test_stepper_cache_never_exceeds_its_bound():
+    g = RadialGrid(1, 8.0, 300)
+    stepper = ImexStepper(g, 1.0)
+    b = np.ones(g.M + 1)
+    dts = [1e-3 * 0.9 ** k for k in range(LU_CACHE_SIZE + 12)]
+    for dt in dts:
+        stepper.solve(dt, b.copy())
+        assert len(stepper._factors) <= LU_CACHE_SIZE
+    # oldest first out: the newest LU_CACHE_SIZE dt values remain
+    assert list(stepper._factors) == dts[-LU_CACHE_SIZE:]
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Diagonal heads of every matrix the solver factors during a test."""
+    seen = []
+    real = solver.banded_lu
+
+    def counting_lu(ab):
+        seen.append(ab[1, 0])
+        return real(ab)
+
+    monkeypatch.setattr(solver, "banded_lu", counting_lu)
+    return seen
+
+
+def test_stepper_reuses_factors_of_a_repeated_dt(factored):
+    g = RadialGrid(2, 8.0, 300)
+    stepper = ImexStepper(g, 1.0)
+    b = np.linspace(0.0, 1.0, g.M + 1)
+    first = stepper.solve(1e-3, b.copy())
+    stepper.solve(2e-3, b.copy())
+    again = stepper.solve(1e-3, b.copy())
+    assert len(factored) == 2
+    assert np.array_equal(first, again)
+
+
+def test_run_factors_each_distinct_dt_once(factored):
+    g = RadialGrid(1, 12.0, 300)
+    u0 = sample_profile(ProfileSpec.gaussian(0.05), g)
+    u0.values[-1] = 0.0
+    cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_max=1e-2, trace_stride=10)
+    out = run(ProblemParams(n=1, p=4, q=2, b=1.0), u0, None, cfg)
+    assert out.status is SolveStatus.REACHED_HORIZON
+    # the ramp 1e-3 * 1.2^k to dt_max, plus at most one shortened last step
+    assert len(factored) == len(set(factored)) <= 15
 
 
 def test_heat_reference_values():
