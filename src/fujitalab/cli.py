@@ -1,9 +1,11 @@
 """Command-line surface: single runs, certificates, (p, q) phase scans and
 reference tables, with machine-readable CSV/JSON outputs.
 
-Scan points fan out to a thread pool (capped by FUJITA_THREADS); every
-point is computed independently and results are gathered and sorted by
-(p, q), so outputs are byte-identical across thread counts.
+A scan confirms its certified-global points together in one lockstep
+``run_batch`` (a point that leaves the batch is re-run on its own) and each
+blow-up point with its own ``run``.  The batch and the blow-up points are
+tasks on a thread pool capped by FUJITA_THREADS; rows are gathered and
+sorted by (p, q), so outputs are byte-identical across thread counts.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from .core import (ProblemParams, Verdict, classify_positive,
                    critical_exponents)
 from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
-                     comparison_tolerance, heat_reference, run, trace_to_csv)
+                     comparison_tolerance, heat_reference, run, run_batch,
+                     trace_to_csv)
 
 SCHEMA_VERSION = 1
 
@@ -62,35 +65,60 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
+_REQUIRED = object()
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
+               dict: "an object", list: "a list"}
+
+
+def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``obj[key]`` checked to be a ``kind``: bool, int, str, dict, list or Real
+    (a number or [num, den] pair, see ``_number``); ``default`` if absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key '{key}'")
+        return default
+    value = obj[key]
+    if kind is Real:
+        return _number(value, f"{where}.{key}")
+    # bool is a subclass of int, but true is not an integer here
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{where}.{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
+
+    def real(key: str) -> float:
+        return float(_field(obj, key, Real, where))
+
+    def reals(key: str) -> list:
+        return [float(_number(x, f"{where}.{key}")) for x in _field(obj, key, list, where)]
+
     kind = obj["kind"]
     if kind == "gaussian":
         _check_keys(obj, {"kind", "amplitude"}, where)
-        return ProfileSpec.gaussian(float(_number(obj["amplitude"], where)))
+        return ProfileSpec.gaussian(real("amplitude"))
     if kind == "algebraic":
         _check_keys(obj, {"kind", "amplitude", "k"}, where)
-        return ProfileSpec.algebraic(float(_number(obj["amplitude"], where)),
-                                     float(_number(obj["k"], where)))
+        return ProfileSpec.algebraic(real("amplitude"), real("k"))
     if kind == "annular_bump":
         _check_keys(obj, {"kind", "amplitude", "center", "width"}, where)
-        return ProfileSpec.annular_bump(float(_number(obj["amplitude"], where)),
-                                        float(_number(obj["center"], where)),
-                                        float(_number(obj["width"], where)))
+        return ProfileSpec.annular_bump(real("amplitude"), real("center"), real("width"))
     if kind == "signed_dipole":
         _check_keys(obj, {"kind", "a_plus", "a_minus", "centers", "widths"}, where)
-        return ProfileSpec.signed_dipole(float(_number(obj["a_plus"], where)),
-                                         float(_number(obj["a_minus"], where)),
-                                         [float(c) for c in obj["centers"]],
-                                         [float(w) for w in obj["widths"]])
+        return ProfileSpec.signed_dipole(real("a_plus"), real("a_minus"),
+                                         reals("centers"), reals("widths"))
     if kind == "zero":
         _check_keys(obj, {"kind"}, where)
         return ProfileSpec.zero()
     if kind == "sum":
         _check_keys(obj, {"kind", "parts"}, where)
         parts = [_parse_profile(part, f"{where}.parts[{i}]")
-                 for i, part in enumerate(obj["parts"])]
+                 for i, part in enumerate(_field(obj, "parts", list, where))]
+        if not parts:
+            raise ConfigError(f"{where}.parts: expected at least one part")
         spec = parts[0]
         for extra in parts[1:]:
             spec = spec + extra
@@ -107,12 +135,13 @@ def _parse_forcing(obj: dict) -> ForcingSpec:
         return ForcingSpec("none")
     if kind == "gaussian":
         _check_keys(obj, {"kind", "amplitude"}, "forcing")
-        return ForcingSpec("gaussian", amplitude=float(_number(obj["amplitude"], "forcing")))
+        return ForcingSpec("gaussian",
+                           amplitude=float(_field(obj, "amplitude", Real, "forcing")))
     if kind == "constructed_stationary":
         _check_keys(obj, {"kind", "eps"}, "forcing")
-        eps = obj.get("eps")
+        eps = _field(obj, "eps", Real, "forcing", None)
         return ForcingSpec("constructed_stationary",
-                           eps=None if eps is None else float(_number(eps, "forcing")))
+                           eps=None if eps is None else float(eps))
     raise ConfigError(f"forcing: unknown kind {kind!r}")
 
 
@@ -120,45 +149,42 @@ def parse_scenario(doc: dict):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, {"problem", "profile", "forcing", "grid", "solve", "output"}, "config")
-    for key in ("problem", "profile", "grid", "solve"):
-        if key not in doc:
-            raise ConfigError(f"config: missing required section '{key}'")
+    prob, profile_doc, gr, sv = (_field(doc, key, dict, "config")
+                                 for key in ("problem", "profile", "grid", "solve"))
+    out = _field(doc, "output", dict, "config", {})
 
     forcing = _parse_forcing(doc["forcing"]) if "forcing" in doc else ForcingSpec("none")
 
-    prob = doc["problem"]
     _check_keys(prob, {"n", "p", "q", "b", "use_source", "use_gradient"}, "problem")
     params = ProblemParams(
-        n=int(prob["n"]),
-        p=_number(prob["p"], "problem.p"),
-        q=_number(prob["q"], "problem.q"),
-        b=_number(prob.get("b", 1.0), "problem.b"),
-        use_source=bool(prob.get("use_source", True)),
-        use_gradient=bool(prob.get("use_gradient", True)),
+        n=_field(prob, "n", int, "problem"),
+        p=_field(prob, "p", Real, "problem"),
+        q=_field(prob, "q", Real, "problem"),
+        b=_field(prob, "b", Real, "problem", 1.0),
+        use_source=_field(prob, "use_source", bool, "problem", True),
+        use_gradient=_field(prob, "use_gradient", bool, "problem", True),
     )
 
-    gr = doc["grid"]
     _check_keys(gr, {"L", "M"}, "grid")
-    grid = RadialGrid(params.n, float(_number(gr["L"], "grid.L")), int(gr["M"]))
+    grid = RadialGrid(params.n, float(_field(gr, "L", Real, "grid")),
+                      _field(gr, "M", int, "grid"))
 
-    sv = doc["solve"]
     _check_keys(sv, {"t_end", "dt_init", "dt_min", "dt_max", "blowup_threshold",
                      "growth_cap", "theta_scheme", "trace_stride", "kaplan_R"}, "solve")
     kw = {}
     for key in ("t_end", "dt_init", "dt_min", "dt_max", "blowup_threshold",
                 "growth_cap", "theta_scheme", "kaplan_R"):
         if key in sv:
-            kw[key] = float(_number(sv[key], f"solve.{key}"))
+            kw[key] = float(_field(sv, key, Real, "solve"))
     if "trace_stride" in sv:
-        kw["trace_stride"] = int(sv["trace_stride"])
+        kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
 
-    profile = _parse_profile(doc["profile"])
+    profile = _parse_profile(profile_doc)
 
-    out = doc.get("output", {})
     _check_keys(out, {"dir", "stride"}, "output")
-    out_dir = out.get("dir", "out")
+    out_dir = _field(out, "dir", str, "output", "out")
     if "stride" in out:
-        kw["trace_stride"] = int(out["stride"])
+        kw["trace_stride"] = _field(out, "stride", int, "output")
     config = SolveConfig(**kw)
     return params, grid, config, profile, forcing, out_dir
 
@@ -265,55 +291,86 @@ def _thread_count() -> int:
     return cap
 
 
-def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
-                budget: float) -> dict:
-    params = ProblemParams(n=n, p=p, q=q, b=b)
+def _scan_row(params: ProblemParams) -> dict:
     theory = classify_positive(params)
-    row = {
-        "p": p, "q": q,
+    return {
+        "p": params.p, "q": params.q,
         "verdict_theory": theory.verdict.value,
         "triggered_condition": theory.triggered_condition,
         "verdict_numeric": "unresolved",
         "t_star": None,
         "certificate_eps": None,
     }
+
+
+def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
+                budget: float) -> dict:
+    """The scan row of one point, confirmed by its own ``run``."""
+    params = ProblemParams(n=n, p=p, q=q, b=b)
+    row = _scan_row(params)
     grid = RadialGrid(n, 12.0, grid_m)
-    if theory.verdict is Verdict.BLOW_UP_ALL:
-        u0 = sample_profile(ProfileSpec.gaussian(1.0), grid)
-        u0.values[-1] = 0.0
-        config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
-                             trace_stride=5)
-        outcome = run(params, u0, None, config)
-        if outcome.status is SolveStatus.BLOW_UP:
-            row["verdict_numeric"] = "BlowUp"
-            row["t_star"] = outcome.t_star_estimate
-        elif outcome.status is SolveStatus.REACHED_HORIZON:
-            row["verdict_numeric"] = "ReachedHorizon(anomaly)"
-        else:
-            row["verdict_numeric"] = "unresolved"
-    else:
-        cert = gaussian_certificate(n, p, q, b)
-        row["certificate_eps"] = cert.eps
-        u0 = Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
-        u0.values[-1] = 0.0
-        config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
-                             dt_max=5e-3, trace_stride=20, store_fields=True)
-        outcome = run(params, u0, None, config)
-        tol = comparison_tolerance(grid, config)
-        dominated = outcome.status is SolveStatus.REACHED_HORIZON
-        if dominated and outcome.snapshots:
-            for t_snap, u_snap in outcome.snapshots:
-                z = gaussian_supersolution(cert, t_snap, grid)
-                if np.any(u_snap.values > z.values + tol):
-                    dominated = False
-                    break
-        if outcome.status is SolveStatus.BLOW_UP:
-            # contradicts a verified certificate: hard failure, surfaced upstream
-            row["verdict_numeric"] = "BlowUp(CONTRADICTS_CERTIFICATE)"
-        elif dominated:
-            row["verdict_numeric"] = "DominatedToHorizon"
-        else:
-            row["verdict_numeric"] = "unresolved"
+    if row["verdict_theory"] != Verdict.BLOW_UP_ALL.value:
+        cert, u0 = _global_start(params, grid)
+        config = _global_config(budget)
+        return _global_verdict(row, cert, run(params, u0, None, config), config)
+    u0 = sample_profile(ProfileSpec.gaussian(1.0), grid)
+    u0.values[-1] = 0.0
+    config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
+                         trace_stride=5)
+    outcome = run(params, u0, None, config)
+    if outcome.status is SolveStatus.BLOW_UP:
+        row["verdict_numeric"] = "BlowUp"
+        row["t_star"] = outcome.t_star_estimate
+    elif outcome.status is SolveStatus.REACHED_HORIZON:
+        row["verdict_numeric"] = "ReachedHorizon(anomaly)"
+    return row
+
+
+def _scan_global_points(n: int, points, b: float, grid_m: int,
+                        budget: float) -> list:
+    """The scan rows of certified-global points, confirmed together by one
+    ``run_batch`` (a point the batch cannot carry is re-run on its own)."""
+    grid = RadialGrid(n, 12.0, grid_m)
+    config = _global_config(budget)
+    params = [ProblemParams(n=n, p=p, q=q, b=b) for p, q in points]
+    starts = [_global_start(prm, grid) for prm in params]
+    outcomes = run_batch(params, [u0 for _, u0 in starts], config)
+    return [_global_verdict(_scan_row(prm), cert, outcome, config)
+            for prm, (cert, _), outcome in zip(params, starts, outcomes)]
+
+
+def _global_config(budget: float) -> SolveConfig:
+    return SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
+                       dt_max=5e-3, trace_stride=20, store_fields=True)
+
+
+def _global_start(params: ProblemParams, grid: RadialGrid):
+    """The point's gaussian certificate and the data 0.9 z(0) it dominates."""
+    cert = gaussian_certificate(params.n, params.p, params.q, params.b)
+    u0 = Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
+    u0.values[-1] = 0.0
+    return cert, u0
+
+
+def _global_verdict(row: dict, cert, outcome, config: SolveConfig) -> dict:
+    """Fill in the certificate and the numeric verdict: dominated to the
+    horizon when every snapshot stays below z(t) plus the comparison
+    tolerance."""
+    row["certificate_eps"] = cert.eps
+    grid = outcome.final_field.grid
+    tol = comparison_tolerance(grid, config)
+    dominated = outcome.status is SolveStatus.REACHED_HORIZON
+    if dominated and outcome.snapshots:
+        for t_snap, u_snap in outcome.snapshots:
+            z = gaussian_supersolution(cert, t_snap, grid)
+            if np.any(u_snap.values > z.values + tol):
+                dominated = False
+                break
+    if outcome.status is SolveStatus.BLOW_UP:
+        # contradicts a verified certificate: hard failure, surfaced upstream
+        row["verdict_numeric"] = "BlowUp(CONTRADICTS_CERTIFICATE)"
+    elif dominated:
+        row["verdict_numeric"] = "DominatedToHorizon"
     return row
 
 
@@ -348,14 +405,27 @@ def cmd_scan(args) -> int:
             print(f"error: scan point (p={p}, q={q}) outside standing assumptions",
                   file=sys.stderr)
             return 2
+    for bad, message in ((args.n < 1, "--n must be >= 1"),
+                         (not args.b > 0, "--b must be > 0"),
+                         (args.grid_m < 2, "--grid-m must be >= 2"),
+                         (not (math.isfinite(args.budget) and args.budget > 0),
+                          "--budget must be finite and > 0")):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
 
+    global_points, blowup_points = [], []
+    for p, q in points:
+        verdict = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b)).verdict
+        (blowup_points if verdict is Verdict.BLOW_UP_ALL else global_points).append((p, q))
     workers = max(1, _thread_count())
-    results = []
-    if points:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_point, args.n, p, q, args.b, args.grid_m,
-                                   args.budget) for p, q in points]
-            results = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the batch of global points, the longest task, is queued first
+        batch = pool.submit(_scan_global_points, args.n, global_points, args.b,
+                            args.grid_m, args.budget)
+        singles = [pool.submit(_scan_point, args.n, p, q, args.b, args.grid_m,
+                               args.budget) for p, q in blowup_points]
+        results = batch.result() + [f.result() for f in singles]
     results.sort(key=lambda row: (row["p"], row["q"]))
 
     out = Path(args.out)

@@ -8,45 +8,52 @@ the stencil is exact for quadratics at every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import ProblemParams
+from .core import ProblemParams, Real
 from .grid import Field, RadialGrid, integrate
 
 
 def laplacian(f: Field) -> Field:
-    g = f.grid
-    v = f.values
+    return Field(f.grid, _laplacian_rows(f.values, f.grid))
+
+
+def _laplacian_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
+    """The discrete Laplacian along the last axis of v (one field per row)."""
     h = g.h_r
     r = g.nodes
     n = g.n
     out = np.empty_like(v)
-    out[0] = 2.0 * n * (v[1] - v[0]) / h ** 2
-    second = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-    first = (v[2:] - v[:-2]) / (2.0 * h)
-    out[1:-1] = second + (n - 1) / r[1:-1] * first
+    out[..., 0] = 2.0 * n * (v[..., 1] - v[..., 0]) / h ** 2
+    second = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h ** 2
+    first = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    out[..., 1:-1] = second + (n - 1) / r[1:-1] * first
     # boundary node: shifted 3-point second difference + one-sided first
     # derivative, both exact for quadratics
-    fpp = (v[-1] - 2.0 * v[-2] + v[-3]) / h ** 2
-    fp = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    out[-1] = fpp + (n - 1) / r[-1] * fp
-    return Field(g, out)
+    fpp = (v[..., -1] - 2.0 * v[..., -2] + v[..., -3]) / h ** 2
+    fp = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    out[..., -1] = fpp + (n - 1) / r[-1] * fp
+    return out
 
 
 def gradient_magnitude(f: Field) -> Field:
     """|d/dr f|; zero at the center by radial symmetry."""
-    g = f.grid
-    v = f.values
-    h = g.h_r
-    out = np.empty_like(v)
-    out[0] = 0.0
-    out[1:-1] = np.abs(v[2:] - v[:-2]) / (2.0 * h)
-    out[-1] = abs(3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return Field(g, out)
+    return Field(f.grid, _gradient_rows(f.values, f.grid.h_r, np.empty_like(f.values)))
+
+
+def _gradient_rows(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """|d/dr| along the last axis of v, written into ``out``."""
+    out[..., 0] = 0.0
+    inner = out[..., 1:-1]
+    np.subtract(v[..., 2:], v[..., :-2], out=inner)
+    np.abs(inner, out=inner)
+    inner /= 2.0 * h
+    out[..., -1] = np.abs(3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return out
 
 
 def rhs(u: Field, params: ProblemParams, h: Optional[Field] = None) -> Field:
@@ -57,16 +64,74 @@ def rhs(u: Field, params: ProblemParams, h: Optional[Field] = None) -> Field:
     """
     if not np.all(np.isfinite(u.values)):
         raise ValueError("rhs of a non-finite field")
-    out = np.zeros_like(u.values)
-    if params.use_source:
-        out += np.abs(u.values) ** float(params.p)
-    if params.use_gradient and params.b != 0:
-        out += float(params.b) * gradient_magnitude(u).values ** float(params.q)
-    if h is not None:
-        if h.grid != u.grid:
+    v = u.values[None]
+    out = np.empty_like(v)
+    Reaction(u.grid, [params], h)(v, out, np.empty_like(v))
+    return Field(u.grid, out[0])
+
+
+class Reaction:
+    """The reaction |u|^p + b |grad u|^q + h on a (K, M+2) block of fields.
+
+    The rows share n, b, the two switches and h; row k has its own (p, q)
+    from ``params_list[k]``.  Rows that share an exponent are raised
+    together by a Python-float power, so each row rounds exactly as
+    ``|u| ** p`` does on that row alone (numpy's scalar-exponent fast
+    paths, such as squaring for 2.0, included).
+    """
+
+    def __init__(self, grid: RadialGrid, params_list: Sequence[ProblemParams],
+                 h: Optional[Field] = None) -> None:
+        first = params_list[0]
+        shared = (first.n, first.b, first.use_source, first.use_gradient)
+        if any((prm.n, prm.b, prm.use_source, prm.use_gradient) != shared
+               for prm in params_list):
+            raise ValueError("a reaction block needs one n, b and term switches")
+        if h is not None and h.grid != grid:
             raise ValueError("forcing field lives on a different grid")
-        out += h.values
-    return Field(u.grid, out)
+        self.h_r = grid.h_r
+        self.forcing = None if h is None else h.values
+        self.source = (_exponent_rows([prm.p for prm in params_list])
+                       if first.use_source else None)
+        self.b = float(first.b)
+        self.gradient = (_exponent_rows([prm.q for prm in params_list])
+                         if first.use_gradient and first.b != 0 else None)
+
+    def __call__(self, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the reaction of every row of ``v`` into ``out``."""
+        if self.source is None:
+            out.fill(0.0)
+        else:
+            np.abs(v, out=out)
+            _raise_rows(out, self.source)
+        if self.gradient is not None:
+            _gradient_rows(v, self.h_r, scratch)
+            _raise_rows(scratch, self.gradient)
+            scratch *= self.b
+            out += scratch
+        if self.forcing is not None:
+            out += self.forcing
+
+
+# (exponent, row indices); None stands for every row
+ExponentRows = List[Tuple[float, Optional[np.ndarray]]]
+
+
+def _exponent_rows(exponents: Sequence[Real]) -> ExponentRows:
+    values = [float(e) for e in exponents]
+    if len(set(values)) == 1:
+        return [(values[0], None)]
+    column = np.array(values)
+    return [(e, np.flatnonzero(column == e)) for e in sorted(set(values))]
+
+
+def _raise_rows(a: np.ndarray, rows: ExponentRows) -> None:
+    """In place: each row of ``a`` to the power of its exponent."""
+    for e, which in rows:
+        if which is None:
+            a **= e
+        else:
+            a[which] **= e
 
 
 def laplacian_banded(grid: RadialGrid) -> Tuple[np.ndarray, float]:

@@ -11,6 +11,12 @@ dt only takes the values dt_init 1.2^k 2^-j capped at dt_max, so an
 values and solves each step from them; the oldest entry is evicted first.
 The cached solve is bit-identical to refactoring on every step.
 
+The step kernel ``_step`` advances a (K, M+2) block of fields, one field
+per row, with one multi-column solve.  ``run`` uses it with K = 1;
+``run_batch`` carries problems that differ only in p and q in lockstep and
+hands a problem whose step would be rejected back to ``run``, so its
+outcomes are bit-identical to per-problem runs.
+
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
 numerically observed blow-up is evidence in the safe direction, while
@@ -23,7 +29,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
@@ -32,9 +38,11 @@ from scipy.linalg import solve_banded  # noqa: F401
 from .certificates import kaplan_functional
 from .core import ProblemParams
 from .grid import Field, RadialGrid, integrate
-from .operators import (BandedLU, Eigenpair, banded_lu, banded_lu_solve,
-                        gradient_magnitude, laplacian, laplacian_banded,
-                        principal_eigenpair, rhs)
+from .operators import (BandedLU, Eigenpair, Reaction, _laplacian_rows,
+                        banded_lu, banded_lu_solve, gradient_magnitude,
+                        laplacian_banded, principal_eigenpair)
+# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
+from .operators import rhs  # noqa: F401
 
 TRUNCATION_NOTE = (
     "Dirichlet truncation on B_L: observed blow-up transfers to the whole-space "
@@ -65,6 +73,12 @@ class SolveConfig:
             raise ValueError("theta_scheme must lie in [0, 1]")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be >= 1")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be finite and > 0")
+        if not math.isfinite(self.dt_max):
+            raise ValueError("dt_max must be finite")
+        if not self.growth_cap > 0:
+            raise ValueError("growth_cap must be > 0")
 
 
 @dataclass(frozen=True)
@@ -103,18 +117,22 @@ LU_CACHE_SIZE = 32
 class ImexStepper:
     """The implicit half of the theta scheme on one grid.
 
-    Holds the banded Laplacian A (boundary node eliminated) and the LU
-    factors of I - theta dt A for up to ``LU_CACHE_SIZE`` distinct dt,
-    keyed by the exact float dt and evicted oldest first.
+    Holds the banded Laplacian A (boundary node eliminated), the LU factors
+    of I - theta dt A for up to ``LU_CACHE_SIZE`` distinct dt, keyed by the
+    exact float dt and evicted oldest first, and the work buffers of
+    ``_step`` for the current block height.
     """
 
     def __init__(self, grid: RadialGrid, theta: float) -> None:
+        self.grid = grid
         self.theta = theta
         self.ab, self.c_boundary = laplacian_banded(grid)
         self._factors: Dict[float, BandedLU] = {}
+        self._work: Tuple[np.ndarray, ...] = ()
 
     def solve(self, dt: float, b: np.ndarray) -> np.ndarray:
-        """x with (I - theta dt A) x = b; ``b`` is overwritten."""
+        """x with (I - theta dt A) x = b, one system per column of b;
+        ``b`` is overwritten when it is Fortran-contiguous."""
         lu = self._factors.get(dt)
         if lu is None:
             a = -self.theta * dt * self.ab
@@ -125,29 +143,46 @@ class ImexStepper:
             self._factors[dt] = lu
         return banded_lu_solve(lu, b)
 
+    def work(self, k: int) -> Tuple[np.ndarray, ...]:
+        """Reaction, gradient and right-hand-side buffers for k rows."""
+        if not self._work or self._work[0].shape[0] != k:
+            m = self.grid.M + 2
+            self._work = (np.empty((k, m)), np.empty((k, m)), np.empty((k, m - 1)))
+        return self._work
+
 
 def step(u: Field, dt: float, params: ProblemParams, h: Optional[Field] = None,
          theta: float = 1.0) -> Field:
     """One IMEX theta step; the boundary value of u is held fixed."""
-    return _step(ImexStepper(u.grid, theta), u, dt, params, h)
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("cannot step a non-finite field")
+    block = _step(ImexStepper(u.grid, theta), u.values[None], dt,
+                  Reaction(u.grid, [params], h))
+    return Field(u.grid, block[0])
 
 
-def _step(stepper: ImexStepper, u: Field, dt: float, params: ProblemParams,
-          h: Optional[Field]) -> Field:
-    v = u.values
+def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
+          reaction: Reaction) -> np.ndarray:
+    """One IMEX theta step of every row of the (K, M+2) block v.
+
+    Returns a new block; the boundary column is held fixed.  A row whose
+    right-hand side is not finite comes out not finite (the solve cannot
+    cancel an inf or a NaN), which the caller rejects.
+    """
     theta = stepper.theta
+    react, scratch, b = stepper.work(v.shape[0])
+    out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        react = rhs(u, params, h).values
-        rhs_vec = v[:-1] + dt * react[:-1]
+        reaction(v, react, scratch)
+        np.multiply(react[:, :-1], dt, out=b)
+        b += v[:, :-1]
         if theta < 1.0:
-            rhs_vec = rhs_vec + dt * (1.0 - theta) * laplacian(u).values[:-1]
-        rhs_vec[-1] += theta * dt * stepper.c_boundary * v[-1]
-        if not np.all(np.isfinite(rhs_vec)):
-            return Field(u.grid, np.full_like(v, np.nan))
-        out = np.empty_like(v)
-        out[:-1] = stepper.solve(dt, rhs_vec)
-    out[-1] = v[-1]
-    return Field(u.grid, out)
+            b += dt * (1.0 - theta) * _laplacian_rows(v, stepper.grid)[:, :-1]
+        b[:, -1] += theta * dt * stepper.c_boundary * v[:, -1]
+        # b.T is Fortran-ordered, so one dgttrs solves every row in place
+        out[:, :-1] = stepper.solve(dt, b.T).T
+    out[:, -1] = v[:, -1]
+    return out
 
 
 def _record(t: float, dt: float, u: Field,
@@ -172,6 +207,35 @@ def _observe(trace: List[TraceRecord],
         snapshots.append((t, u.copy()))
 
 
+def _kaplan_pair(grid: RadialGrid, config: SolveConfig) -> Optional[Eigenpair]:
+    if config.kaplan_R is None:
+        return None
+    if config.kaplan_R > grid.L:
+        raise ValueError("kaplan_R exceeds the truncation radius")
+    return principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))
+
+
+def _finish(status: SolveStatus, params: ProblemParams, trace: List[TraceRecord],
+            snapshots: Optional[List[Tuple[float, Field]]], t: float, dt: float,
+            u: Field, pair: Optional[Eigenpair], **kw) -> SolveOutcome:
+    """Close a run at time t: a last record if the trace stops short of t,
+    and the blow-up time fit when the status is BlowUp."""
+    if trace[-1].t < t:
+        _observe(trace, snapshots, t, dt, u, pair)
+    out = SolveOutcome(status=status, trace=trace, final_field=u,
+                       snapshots=snapshots, **kw)
+    if status is SolveStatus.BLOW_UP:
+        est = detect_blowup(trace, float(params.p))
+        if est is not None:
+            out.t_star_estimate, out.fit_quality = est
+        out.t_last_finite = t
+    return out
+
+
+def _before_horizon(t: float, config: SolveConfig) -> bool:
+    return t < config.t_end - 1e-14 * max(1.0, config.t_end)
+
+
 def run(params: ProblemParams, u0: Field, h: Optional[Field],
         config: SolveConfig) -> SolveOutcome:
     """Advance the problem from u0 with adaptive steps until the horizon,
@@ -180,50 +244,39 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
         raise ValueError("forcing and initial data live on different grids")
     grid = u0.grid
     stepper = ImexStepper(grid, config.theta_scheme)
-    pair = None
-    if config.kaplan_R is not None:
-        if config.kaplan_R > grid.L:
-            raise ValueError("kaplan_R exceeds the truncation radius")
-        pair = principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))
+    reaction = Reaction(grid, [params], h)
+    pair = _kaplan_pair(grid, config)
 
-    u = u0.copy()
-    sup = float(np.max(np.abs(u.values)))
+    v = u0.values[None].copy()  # the state as a one-row block
+    sup = float(np.max(np.abs(v)))
     t = 0.0
     dt = config.dt_init
     halvings = 0
     accepted = 0
     trace: List[TraceRecord] = []
     snapshots: Optional[List[Tuple[float, Field]]] = [] if config.store_fields else None
-    _observe(trace, snapshots, t, dt, u, pair)
+    _observe(trace, snapshots, t, dt, u0, pair)
 
     def finish(status: SolveStatus, **kw) -> SolveOutcome:
-        if trace[-1].t < t:
-            _observe(trace, snapshots, t, dt, u, pair)
-        out = SolveOutcome(status=status, trace=trace, final_field=u,
-                           snapshots=snapshots, **kw)
-        if status is SolveStatus.BLOW_UP:
-            est = detect_blowup(trace, float(params.p))
-            if est is not None:
-                out.t_star_estimate, out.fit_quality = est
-            out.t_last_finite = t
-        return out
+        return _finish(status, params, trace, snapshots, t, dt, Field(grid, v[0]),
+                       pair, **kw)
 
-    while t < config.t_end - 1e-14 * max(1.0, config.t_end):
+    while _before_horizon(t, config):
         dt_try = min(dt, config.t_end - t)
-        candidate = _step(stepper, u, dt_try, params, h)
+        candidate = _step(stepper, v, dt_try, reaction)
         # NaN and inf both propagate through the max, so a finite sup
         # means a finite candidate
-        sup_new = float(np.max(np.abs(candidate.values)))
+        sup_new = float(np.max(np.abs(candidate)))
         finite = math.isfinite(sup_new)
         growth = (sup_new - sup) / max(sup, 1e-300) if finite else math.inf
         if finite and growth <= config.growth_cap:
-            u = candidate
+            v = candidate
             sup = sup_new
             t += dt_try
             halvings = 0
             accepted += 1
             if accepted % config.trace_stride == 0:
-                _observe(trace, snapshots, t, dt_try, u, pair)
+                _observe(trace, snapshots, t, dt_try, Field(grid, v[0]), pair)
             if sup >= config.blowup_threshold:
                 return finish(SolveStatus.BLOW_UP)
             dt = min(dt * 1.2, config.dt_max)
@@ -240,7 +293,7 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
                 # trace shows a sustained super-linear growth signature,
                 # otherwise report an unresolvable stall
                 if trace[-1].t < t:
-                    _observe(trace, snapshots, t, dt, u, pair)
+                    _observe(trace, snapshots, t, dt, Field(grid, v[0]), pair)
                 suffix = _increasing_suffix(trace)
                 # asymptote evidence: the remaining-time proxy sup^(1-p)
                 # contracted by >= 3 decades over the growing tail
@@ -251,6 +304,75 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
                     return finish(SolveStatus.BLOW_UP)
                 return finish(SolveStatus.STEP_FLOOR_STALL, t_stall=t)
     return finish(SolveStatus.REACHED_HORIZON)
+
+
+def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
+              config: SolveConfig) -> List[SolveOutcome]:
+    """``run`` (without forcing) for problems that differ only in p and q,
+    advanced in lockstep; returns one outcome per problem, in order.
+
+    While every step is accepted, ``run`` takes the same t and dt for all of
+    them, so the batch advances one (K, M+2) block per step: one reaction
+    assembly and one multi-column solve from the shared factors.  A column
+    whose step ``run`` would not simply accept (a non-finite state, growth
+    above ``growth_cap``, or a sup that reaches ``blowup_threshold``) leaves
+    the block and is re-run from its u0 by ``run``, so every outcome equals
+    the one ``run`` returns for that problem, bit for bit.
+    """
+    if len(params_list) != len(u0s):
+        raise ValueError("run_batch needs one initial field per problem")
+    if not u0s:
+        return []
+    grid = u0s[0].grid
+    if any(u.grid != grid for u in u0s):
+        raise ValueError("a batch needs one grid")
+    stepper = ImexStepper(grid, config.theta_scheme)
+    reaction = Reaction(grid, params_list)
+    pair = _kaplan_pair(grid, config)
+
+    live = list(range(len(u0s)))
+    v = np.stack([u.values for u in u0s])
+    sup = np.max(np.abs(v), axis=1)
+    t = 0.0
+    dt = config.dt_init
+    accepted = 0
+    traces: List[List[TraceRecord]] = [[] for _ in live]
+    snapshots = [[] if config.store_fields else None for _ in live]
+    for k in live:
+        _observe(traces[k], snapshots[k], t, dt, u0s[k], pair)
+    dropped = []
+
+    while live and _before_horizon(t, config):
+        dt_try = min(dt, config.t_end - t)
+        candidate = _step(stepper, v, dt_try, reaction)
+        sup_new = np.max(np.abs(candidate), axis=1)
+        with np.errstate(invalid="ignore"):
+            growth = (sup_new - sup) / np.maximum(sup, 1e-300)
+        keep = (np.isfinite(sup_new) & (growth <= config.growth_cap)
+                & (sup_new < config.blowup_threshold))
+        if not keep.all():
+            dropped += [k for k, kept in zip(live, keep) if not kept]
+            live = [k for k, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            candidate, sup_new = candidate[keep], sup_new[keep]
+            reaction = Reaction(grid, [params_list[k] for k in live])
+        v = candidate
+        sup = sup_new
+        t += dt_try
+        accepted += 1
+        if accepted % config.trace_stride == 0:
+            for row, k in enumerate(live):
+                _observe(traces[k], snapshots[k], t, dt_try, Field(grid, v[row]), pair)
+        dt = min(dt * 1.2, config.dt_max)
+
+    outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
+    for row, k in enumerate(live):
+        outcomes[k] = _finish(SolveStatus.REACHED_HORIZON, params_list[k], traces[k],
+                              snapshots[k], t, dt, Field(grid, v[row].copy()), pair)
+    for k in dropped:
+        outcomes[k] = run(params_list[k], u0s[k], None, config)
+    return outcomes
 
 
 def _increasing_suffix(trace: List[TraceRecord]) -> List[Tuple[float, float]]:

@@ -7,6 +7,10 @@ from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv,
                            _number, _scan_point)
 
 
+SCAN_2X2 = ["scan", "--n", "1", "--p-range", "4", "6", "--q-range", "1.4", "1.8",
+            "--steps", "2", "--budget", "1.0", "--grid-m", "200"]
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -194,13 +198,14 @@ def test_scan_soundness_failure_is_loud(tmp_path, monkeypatch):
     # a certified-global point reporting blow-up must fail the whole scan
     import fujitalab.cli as cli_mod
 
-    def contradictory(n, p, q, b, grid_m, budget):
-        return {"p": p, "q": q, "verdict_theory": "GlobalForSmallData",
-                "triggered_condition": "x", "t_star": None,
-                "certificate_eps": 0.01,
-                "verdict_numeric": "BlowUp(CONTRADICTS_CERTIFICATE)"}
+    def contradictory(n, points, b, grid_m, budget):
+        return [{"p": p, "q": q, "verdict_theory": "GlobalForSmallData",
+                 "triggered_condition": "x", "t_star": None,
+                 "certificate_eps": 0.01,
+                 "verdict_numeric": "BlowUp(CONTRADICTS_CERTIFICATE)"}
+                for p, q in points]
 
-    monkeypatch.setattr(cli_mod, "_scan_point", contradictory)
+    monkeypatch.setattr(cli_mod, "_scan_global_points", contradictory)
     code = main(["scan", "--n", "1", "--p-range", "4", "4",
                  "--q-range", "2", "2", "--steps", "1",
                  "--out", str(tmp_path / "scan_bad")])
@@ -216,3 +221,77 @@ def test_scan_csv_deterministic_format():
     text = scan_csv(rows)
     assert text.startswith("p,q,verdict_theory")
     assert "p <= p_F; closed" in text  # commas inside text cells are escaped
+
+
+def test_scan_rows_equal_per_point_rows(tmp_path):
+    # the 2x2 lattice has two certified-global points, confirmed by one batch
+    out = tmp_path / "scan"
+    assert main(SCAN_2X2 + ["--out", str(out)]) == 0
+    rows = json.loads((out / "scan.json").read_text())["points"]
+    expected = [_scan_point(1, p, q, 1.0, 200, 1.0)
+                for p in (4.0, 6.0) for q in (1.4, 1.8)]
+    assert rows == json.loads(json.dumps(expected))
+    assert sum(row["verdict_numeric"] == "DominatedToHorizon" for row in rows) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "0"), ("--budget", "-5"), ("--budget", "nan"),
+    ("--grid-m", "1"), ("--n", "0"), ("--b", "0"),
+], ids=["budget-zero", "budget-negative", "budget-nan", "grid-m-1", "n-0", "b-0"])
+def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
+    out = tmp_path / "scan"
+    # argparse keeps the last occurrence of a repeated option
+    assert main(SCAN_2X2 + [flag, value, "--out", str(out)]) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_end", float("inf")),
+    ("t_end", -1.0),
+    ("dt_max", float("inf")),
+    ("growth_cap", 0.0),
+    ("growth_cap", -0.1),
+], ids=["t_end-infinite", "t_end-negative", "dt_max-infinite", "growth_cap-zero",
+        "growth_cap-negative"])
+def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["solve"][key] = value
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is KeyError:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("problem", "use_source"), "false"),
+    (("problem", "use_gradient"), "false"),
+    (("problem", "n"), 1.7),
+    (("problem", "n"), "1"),
+    (("grid", "M"), 300.5),
+    (("solve", "trace_stride"), 2.5),
+    (("output", "stride"), "2"),
+    (("problem",), 5),
+    (("problem", "p"), KeyError),
+    (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
+                    "centers": ["1.6", 4.2], "widths": [1, 1]}),
+    (("profile",), {"kind": "sum", "parts": []}),
+], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
+        "M-float", "trace_stride-float", "output-stride-string", "problem-number",
+        "p-missing", "dipole-center-string", "sum-empty"])
+def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
+    doc = blowup_config(tmp_path / "out")
+    _set(doc, path, value)
+    with pytest.raises(ConfigError, match=path[-1]):
+        parse_scenario(doc)
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2

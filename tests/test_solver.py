@@ -11,7 +11,7 @@ from fujitalab.operators import laplacian_banded
 from fujitalab.solver import (LU_CACHE_SIZE, ImexStepper, SolveConfig,
                               SolveStatus, TraceRecord, comparison_tolerance,
                               detect_blowup, heat_reference, measure_plateau,
-                              run, step, trace_to_csv)
+                              run, run_batch, step, trace_to_csv)
 
 
 def synthetic_trace(ts, sups):
@@ -280,3 +280,88 @@ def test_kaplan_monitor_recorded():
     out = run(params, u0, None, cfg)
     assert all(rec.kaplan_y is not None for rec in out.trace)
     assert out.trace[0].kaplan_y > 0
+
+
+def assert_same_outcome(got, want):
+    """Bit-for-bit equality of two outcomes: status, estimates, trace,
+    final field and snapshots."""
+    assert got.status is want.status
+    assert ((got.t_star_estimate, got.fit_quality, got.t_last_finite, got.t_stall)
+            == (want.t_star_estimate, want.fit_quality, want.t_last_finite,
+                want.t_stall))
+    assert trace_to_csv(got.trace) == trace_to_csv(want.trace)
+    assert got.final_field.values.tobytes() == want.final_field.values.tobytes()
+    assert (got.snapshots is None) == (want.snapshots is None)
+    for (t_got, u_got), (t_want, u_want) in zip(got.snapshots or [], want.snapshots or []):
+        assert t_got == t_want
+        assert u_got.values.tobytes() == u_want.values.tobytes()
+    assert len(got.snapshots or []) == len(want.snapshots or [])
+
+
+def gaussian_data(g, amplitudes):
+    fields = []
+    for amp in amplitudes:
+        u0 = sample_profile(ProfileSpec.gaussian(amp), g)
+        u0.values[-1] = 0.0
+        fields.append(u0)
+    return fields
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_run_batch_columns_equal_run(n):
+    g = RadialGrid(n, 12.0, 200)
+    # exponents 2.0 and 1.0 take numpy's scalar fast paths in `run`
+    pq = [(2.0, 1.0), (4.0, 2.0), (4.0, 1.7), (6.5, 2.0), (6.5, 3.0)]
+    params = [ProblemParams(n=n, p=p, q=q) for p, q in pq]
+    u0s = gaussian_data(g, [0.02, 0.05, 0.03, 0.05, 0.04])
+    cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_min=1e-9, dt_max=5e-3,
+                      trace_stride=7, kaplan_R=3.0, store_fields=True)
+    for got, prm, u0 in zip(run_batch(params, u0s, cfg), params, u0s):
+        assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_run_batch_falls_back_to_run_for_rejected_and_blown_up_columns(monkeypatch):
+    g = RadialGrid(1, 12.0, 200)
+    params = [ProblemParams(n=1, p=2, q=2), ProblemParams(n=1, p=4, q=2),
+              ProblemParams(n=1, p=3, q=1.5)]
+    # the large data grow past the tight growth cap and then blow up; the
+    # small datum stays bounded and is carried by the batch to the horizon
+    u0s = gaussian_data(g, [2.0, 0.05, 1.0])
+    cfg = SolveConfig(t_end=3.0, dt_init=1e-3, dt_min=1e-10, dt_max=2e-2,
+                      growth_cap=0.05, trace_stride=5, store_fields=True)
+    fallbacks = []
+
+    def spy(prm, u0, h, config):
+        fallbacks.append(prm.p)
+        return run(prm, u0, h, config)
+
+    monkeypatch.setattr(solver, "run", spy)
+    outcomes = run_batch(params, u0s, cfg)
+    assert fallbacks == [2, 3]
+    assert [o.status for o in outcomes] == [SolveStatus.BLOW_UP,
+                                            SolveStatus.REACHED_HORIZON,
+                                            SolveStatus.BLOW_UP]
+    for got, prm, u0 in zip(outcomes, params, u0s):
+        assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_run_batch_of_one_equals_run():
+    g = RadialGrid(2, 12.0, 200)
+    params = ProblemParams(n=2, p=3, q=2.5)
+    u0 = gaussian_data(g, [0.1])[0]
+    cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_max=1e-2, theta_scheme=0.5,
+                      trace_stride=3)
+    (got,) = run_batch([params], [u0], cfg)
+    assert_same_outcome(got, run(params, u0, None, cfg))
+
+
+def test_run_batch_rejects_mixed_problems():
+    g = RadialGrid(1, 12.0, 200)
+    u0s = gaussian_data(g, [0.1, 0.1])
+    cfg = SolveConfig(t_end=0.1)
+    with pytest.raises(ValueError, match="one n, b"):
+        run_batch([ProblemParams(n=1, p=3, q=2), ProblemParams(n=1, p=3, q=2, b=2.0)],
+                  u0s, cfg)
+    with pytest.raises(ValueError, match="one grid"):
+        run_batch([ProblemParams(n=1, p=3, q=2)] * 2,
+                  [u0s[0], gaussian_data(RadialGrid(1, 12.0, 300), [0.1])[0]], cfg)
