@@ -2,10 +2,11 @@
 reference tables, with machine-readable CSV/JSON outputs.
 
 A scan confirms its certified-global points together in one lockstep
-``run_batch`` (a point that leaves the batch is re-run on its own) and each
-blow-up point with its own ``run``.  The batch and the blow-up points are
-tasks on a thread pool capped by FUJITA_THREADS; rows are gathered and
-sorted by (p, q), so outputs are byte-identical across thread counts.
+``run_batch`` (a point whose step the batch would reject is re-run on its
+own) and each blow-up point with its own ``run``.  The batch and the
+blow-up points are tasks on a thread pool capped by FUJITA_THREADS; rows
+are gathered and sorted by (p, q), so outputs are byte-identical across
+thread counts.
 """
 from __future__ import annotations
 
@@ -46,17 +47,23 @@ Real = Union[int, float, Fraction]
 
 
 def _number(value, where: str) -> Real:
-    """Accept JSON numbers, or [num, den] pairs for exact rationals."""
+    """Accept finite JSON numbers, or [num, den] pairs for exact rationals."""
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
         num, den = value
         if den == 0:
             raise ConfigError(f"{where}: zero denominator")
-        return Fraction(num, den)
-    raise ConfigError(f"{where}: expected a number or [num, den] pair, got {value!r}")
+        value = Fraction(num, den)
+    elif not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number or [num, den] pair, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer or a ratio beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -178,8 +185,14 @@ def parse_scenario(doc: dict):
             kw[key] = float(_field(sv, key, Real, "solve"))
     if "trace_stride" in sv:
         kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
+    if "kaplan_R" in kw and not 0 < kw["kaplan_R"] <= grid.L:
+        raise ConfigError(f"solve.kaplan_R: expected 0 < kaplan_R <= grid.L = "
+                          f"{grid.L!r}, got {kw['kaplan_R']!r}")
 
     profile = _parse_profile(profile_doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(profile.evaluate(grid.nodes))):
+            raise ConfigError("profile: not finite on the grid (the parts overflow)")
 
     _check_keys(out, {"dir", "stride"}, "output")
     out_dir = _field(out, "dir", str, "output", "out")
@@ -305,15 +318,10 @@ def _scan_row(params: ProblemParams) -> dict:
 
 def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
                 budget: float) -> dict:
-    """The scan row of one point, confirmed by its own ``run``."""
+    """The scan row of one BlowUpAll point, confirmed by its own ``run``."""
     params = ProblemParams(n=n, p=p, q=q, b=b)
     row = _scan_row(params)
-    grid = RadialGrid(n, 12.0, grid_m)
-    if row["verdict_theory"] != Verdict.BLOW_UP_ALL.value:
-        cert, u0 = _global_start(params, grid)
-        config = _global_config(budget)
-        return _global_verdict(row, cert, run(params, u0, None, config), config)
-    u0 = sample_profile(ProfileSpec.gaussian(1.0), grid)
+    u0 = sample_profile(ProfileSpec.gaussian(1.0), RadialGrid(n, 12.0, grid_m))
     u0.values[-1] = 0.0
     config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
                          trace_stride=5)
@@ -329,27 +337,21 @@ def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
 def _scan_global_points(n: int, points, b: float, grid_m: int,
                         budget: float) -> list:
     """The scan rows of certified-global points, confirmed together by one
-    ``run_batch`` (a point the batch cannot carry is re-run on its own)."""
+    ``run_batch`` from the data 0.9 z(0) that each point's gaussian
+    certificate z dominates (a point whose step the batch would reject is
+    re-run on its own)."""
     grid = RadialGrid(n, 12.0, grid_m)
-    config = _global_config(budget)
+    config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
+                         dt_max=5e-3, trace_stride=20, store_fields=True)
     params = [ProblemParams(n=n, p=p, q=q, b=b) for p, q in points]
-    starts = [_global_start(prm, grid) for prm in params]
-    outcomes = run_batch(params, [u0 for _, u0 in starts], config)
+    certs = [gaussian_certificate(prm.n, prm.p, prm.q, prm.b) for prm in params]
+    u0s = [Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
+           for cert in certs]
+    for u0 in u0s:
+        u0.values[-1] = 0.0
+    outcomes = run_batch(params, u0s, config)
     return [_global_verdict(_scan_row(prm), cert, outcome, config)
-            for prm, (cert, _), outcome in zip(params, starts, outcomes)]
-
-
-def _global_config(budget: float) -> SolveConfig:
-    return SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
-                       dt_max=5e-3, trace_stride=20, store_fields=True)
-
-
-def _global_start(params: ProblemParams, grid: RadialGrid):
-    """The point's gaussian certificate and the data 0.9 z(0) it dominates."""
-    cert = gaussian_certificate(params.n, params.p, params.q, params.b)
-    u0 = Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
-    u0.values[-1] = 0.0
-    return cert, u0
+            for prm, cert, outcome in zip(params, certs, outcomes)]
 
 
 def _global_verdict(row: dict, cert, outcome, config: SolveConfig) -> dict:

@@ -27,6 +27,11 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be an integer >= 1, got {self.n!r}")
+        try:
+            sphere_area(self.n)
+        except OverflowError:
+            raise ValueError(f"dimension n={self.n!r} is too large: the area of the "
+                             f"unit sphere overflows a float") from None
         if not self.L > 0:
             raise ValueError(f"truncation radius L must be > 0, got {self.L!r}")
         if self.M < 2:

@@ -12,10 +12,12 @@ values and solves each step from them; the oldest entry is evicted first.
 The cached solve is bit-identical to refactoring on every step.
 
 The step kernel ``_step`` advances a (K, M+2) block of fields, one field
-per row, with one multi-column solve.  ``run`` uses it with K = 1;
-``run_batch`` carries problems that differ only in p and q in lockstep and
-hands a problem whose step would be rejected back to ``run``, so its
-outcomes are bit-identical to per-problem runs.
+per row, with one multi-column solve.  ``run_batch`` holds the one adaptive
+loop: it carries problems that differ only in p and q in lockstep, ends a
+column that reaches the blow-up threshold in place, and hands a column
+whose step would be rejected back to ``run`` unless it is the last one
+left, so its outcomes are bit-identical to per-problem runs.  ``run`` is
+``run_batch`` with one column.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -217,18 +219,21 @@ def _kaplan_pair(grid: RadialGrid, config: SolveConfig) -> Optional[Eigenpair]:
 
 def _finish(status: SolveStatus, params: ProblemParams, trace: List[TraceRecord],
             snapshots: Optional[List[Tuple[float, Field]]], t: float, dt: float,
-            u: Field, pair: Optional[Eigenpair], **kw) -> SolveOutcome:
+            u: Field, pair: Optional[Eigenpair]) -> SolveOutcome:
     """Close a run at time t: a last record if the trace stops short of t,
-    and the blow-up time fit when the status is BlowUp."""
+    the blow-up time fit when the status is BlowUp, the stall time when it
+    is StepFloorStall."""
     if trace[-1].t < t:
         _observe(trace, snapshots, t, dt, u, pair)
     out = SolveOutcome(status=status, trace=trace, final_field=u,
-                       snapshots=snapshots, **kw)
+                       snapshots=snapshots)
     if status is SolveStatus.BLOW_UP:
         est = detect_blowup(trace, float(params.p))
         if est is not None:
             out.t_star_estimate, out.fit_quality = est
         out.t_last_finite = t
+    elif status is SolveStatus.STEP_FLOOR_STALL:
+        out.t_stall = t
     return out
 
 
@@ -236,88 +241,36 @@ def _before_horizon(t: float, config: SolveConfig) -> bool:
     return t < config.t_end - 1e-14 * max(1.0, config.t_end)
 
 
+def _growth_signature(trace: List[TraceRecord], p: float) -> bool:
+    """Whether a trace whose dt collapsed below the blow-up threshold still
+    certifies blow-up: the remaining-time proxy sup^(1-p) contracted by at
+    least 3 decades over the growing tail, and a blow-up time fit exists."""
+    suffix = _increasing_suffix(trace)
+    return (len(suffix) >= 2 and suffix[0][1] > 0
+            and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0
+            and detect_blowup(trace, p) is not None)
+
+
 def run(params: ProblemParams, u0: Field, h: Optional[Field],
         config: SolveConfig) -> SolveOutcome:
     """Advance the problem from u0 with adaptive steps until the horizon,
     a certified blow-up trigger, or a step-size stall."""
-    if h is not None and h.grid != u0.grid:
-        raise ValueError("forcing and initial data live on different grids")
-    grid = u0.grid
-    stepper = ImexStepper(grid, config.theta_scheme)
-    reaction = Reaction(grid, [params], h)
-    pair = _kaplan_pair(grid, config)
-
-    v = u0.values[None].copy()  # the state as a one-row block
-    sup = float(np.max(np.abs(v)))
-    t = 0.0
-    dt = config.dt_init
-    halvings = 0
-    accepted = 0
-    trace: List[TraceRecord] = []
-    snapshots: Optional[List[Tuple[float, Field]]] = [] if config.store_fields else None
-    _observe(trace, snapshots, t, dt, u0, pair)
-
-    def finish(status: SolveStatus, **kw) -> SolveOutcome:
-        return _finish(status, params, trace, snapshots, t, dt, Field(grid, v[0]),
-                       pair, **kw)
-
-    while _before_horizon(t, config):
-        dt_try = min(dt, config.t_end - t)
-        candidate = _step(stepper, v, dt_try, reaction)
-        # NaN and inf both propagate through the max, so a finite sup
-        # means a finite candidate
-        sup_new = float(np.max(np.abs(candidate)))
-        finite = math.isfinite(sup_new)
-        growth = (sup_new - sup) / max(sup, 1e-300) if finite else math.inf
-        if finite and growth <= config.growth_cap:
-            v = candidate
-            sup = sup_new
-            t += dt_try
-            halvings = 0
-            accepted += 1
-            if accepted % config.trace_stride == 0:
-                _observe(trace, snapshots, t, dt_try, Field(grid, v[0]), pair)
-            if sup >= config.blowup_threshold:
-                return finish(SolveStatus.BLOW_UP)
-            dt = min(dt * 1.2, config.dt_max)
-        else:
-            halvings += 1
-            dt = dt / 2.0
-            at_threshold = sup >= config.blowup_threshold
-            if at_threshold and halvings >= 3:
-                return finish(SolveStatus.BLOW_UP)
-            if dt < config.dt_min:
-                if at_threshold:
-                    return finish(SolveStatus.BLOW_UP)
-                # dt collapsed below threshold: certify blow-up only when the
-                # trace shows a sustained super-linear growth signature,
-                # otherwise report an unresolvable stall
-                if trace[-1].t < t:
-                    _observe(trace, snapshots, t, dt, Field(grid, v[0]), pair)
-                suffix = _increasing_suffix(trace)
-                # asymptote evidence: the remaining-time proxy sup^(1-p)
-                # contracted by >= 3 decades over the growing tail
-                grew = (len(suffix) >= 2 and suffix[0][1] > 0
-                        and (float(params.p) - 1.0)
-                        * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0)
-                if grew and detect_blowup(trace, float(params.p)) is not None:
-                    return finish(SolveStatus.BLOW_UP)
-                return finish(SolveStatus.STEP_FLOOR_STALL, t_stall=t)
-    return finish(SolveStatus.REACHED_HORIZON)
+    return run_batch([params], [u0], config, h)[0]
 
 
 def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
-              config: SolveConfig) -> List[SolveOutcome]:
-    """``run`` (without forcing) for problems that differ only in p and q,
-    advanced in lockstep; returns one outcome per problem, in order.
+              config: SolveConfig, h: Optional[Field] = None) -> List[SolveOutcome]:
+    """``run`` for problems that differ only in p and q, advanced in
+    lockstep; returns one outcome per problem, in order.
 
-    While every step is accepted, ``run`` takes the same t and dt for all of
-    them, so the batch advances one (K, M+2) block per step: one reaction
-    assembly and one multi-column solve from the shared factors.  A column
-    whose step ``run`` would not simply accept (a non-finite state, growth
-    above ``growth_cap``, or a sup that reaches ``blowup_threshold``) leaves
-    the block and is re-run from its u0 by ``run``, so every outcome equals
-    the one ``run`` returns for that problem, bit for bit.
+    While every step is accepted, the lone runs of these problems take the
+    same t and dt, so the batch advances one (K, M+2) block per step: one
+    reaction assembly and one multi-column solve from the shared factors.
+    A column's fate is the one its lone run decides in the same state: a sup
+    at ``blowup_threshold`` after an accepted step ends it in BlowUp, and a
+    rejected step (non-finite, or growth above ``growth_cap``) sends it to
+    ``run`` from u0, unless it is the last column left, which halves dt in
+    place.  So every outcome equals its lone ``run``'s, bit for bit.
     """
     if len(params_list) != len(u0s):
         raise ValueError("run_batch needs one initial field per problem")
@@ -326,52 +279,83 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     grid = u0s[0].grid
     if any(u.grid != grid for u in u0s):
         raise ValueError("a batch needs one grid")
+    if h is not None and h.grid != grid:
+        raise ValueError("forcing and initial data live on different grids")
     stepper = ImexStepper(grid, config.theta_scheme)
-    reaction = Reaction(grid, params_list)
+    reaction = Reaction(grid, params_list, h)
     pair = _kaplan_pair(grid, config)
 
     live = list(range(len(u0s)))
     v = np.stack([u.values for u in u0s])
-    sup = np.max(np.abs(v), axis=1)
+    # the per-column decisions are taken on Python floats, which is cheaper
+    # than on small arrays
+    sup = np.max(np.abs(v), axis=1).tolist()
     t = 0.0
     dt = config.dt_init
-    accepted = 0
+    halvings = accepted = 0
     traces: List[List[TraceRecord]] = [[] for _ in live]
     snapshots = [[] if config.store_fields else None for _ in live]
     for k in live:
         _observe(traces[k], snapshots[k], t, dt, u0s[k], pair)
-    dropped = []
+    outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
+    rerun = []
+
+    def leave(rows: List[int], status: Optional[SolveStatus]) -> None:
+        """Take these rows out of the block, finished with ``status`` or,
+        when it is None, to be re-run alone."""
+        nonlocal live, v, sup, reaction
+        for row in rows:
+            k = live[row]
+            if status is None:
+                rerun.append(k)
+            else:
+                outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
+                                      t, dt, Field(grid, v[row]), pair)
+        rest = [row for row in range(len(live)) if row not in rows]
+        live, v, sup = [live[r] for r in rest], v[rest], [sup[r] for r in rest]
+        if live:
+            reaction = Reaction(grid, [params_list[k] for k in live], h)
 
     while live and _before_horizon(t, config):
         dt_try = min(dt, config.t_end - t)
         candidate = _step(stepper, v, dt_try, reaction)
-        sup_new = np.max(np.abs(candidate), axis=1)
-        with np.errstate(invalid="ignore"):
-            growth = (sup_new - sup) / np.maximum(sup, 1e-300)
-        keep = (np.isfinite(sup_new) & (growth <= config.growth_cap)
-                & (sup_new < config.blowup_threshold))
-        if not keep.all():
-            dropped += [k for k, kept in zip(live, keep) if not kept]
-            live = [k for k, kept in zip(live, keep) if kept]
-            if not live:
-                break
-            candidate, sup_new = candidate[keep], sup_new[keep]
-            reaction = Reaction(grid, [params_list[k] for k in live])
+        sup_new = np.max(np.abs(candidate), axis=1).tolist()
+        # NaN and inf fail the comparison, so an accepted column is finite
+        ok = [(s - s0) / max(s0, 1e-300) <= config.growth_cap
+              for s, s0 in zip(sup_new, sup)]
+        if not all(ok):
+            if len(live) > 1:
+                # rejected columns leave (the first stays if all are) and
+                # the rest retake the step: rows are computed independently
+                bad = [row for row, good in enumerate(ok) if not good]
+                leave(bad[1:] if len(bad) == len(live) else bad, None)
+                continue
+            halvings += 1
+            dt = dt / 2.0
+            at_threshold = sup[0] >= config.blowup_threshold
+            if dt < config.dt_min or (at_threshold and halvings >= 3):
+                k = live[0]
+                if traces[k][-1].t < t:
+                    _observe(traces[k], snapshots[k], t, dt, Field(grid, v[0]), pair)
+                blew = at_threshold or _growth_signature(traces[k], float(params_list[k].p))
+                leave([0], SolveStatus.BLOW_UP if blew else SolveStatus.STEP_FLOOR_STALL)
+            continue
         v = candidate
         sup = sup_new
         t += dt_try
+        halvings = 0
         accepted += 1
         if accepted % config.trace_stride == 0:
             for row, k in enumerate(live):
                 _observe(traces[k], snapshots[k], t, dt_try, Field(grid, v[row]), pair)
+        if max(sup) >= config.blowup_threshold:
+            leave([row for row, s in enumerate(sup) if s >= config.blowup_threshold],
+                  SolveStatus.BLOW_UP)
         dt = min(dt * 1.2, config.dt_max)
 
-    outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
-    for row, k in enumerate(live):
-        outcomes[k] = _finish(SolveStatus.REACHED_HORIZON, params_list[k], traces[k],
-                              snapshots[k], t, dt, Field(grid, v[row].copy()), pair)
-    for k in dropped:
-        outcomes[k] = run(params_list[k], u0s[k], None, config)
+    leave(list(range(len(live))), SolveStatus.REACHED_HORIZON)
+    for k in rerun:
+        outcomes[k] = run(params_list[k], u0s[k], h, config)
     return outcomes
 
 

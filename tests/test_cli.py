@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv,
-                           _number, _scan_point)
+from fujitalab.cli import (ConfigError, build_forcing_field, main,
+                           parse_scenario, scan_csv, _number,
+                           _scan_global_points, _scan_point)
+from fujitalab.grid import sample_profile
 
 
 SCAN_2X2 = ["scan", "--n", "1", "--p-range", "4", "6", "--q-range", "1.4", "1.8",
@@ -39,6 +42,8 @@ def test_number_accepts_rationals():
         _number("1.5", "x")
     with pytest.raises(ConfigError):
         _number(True, "x")
+    with pytest.raises(ConfigError):
+        _number([True, 2], "x")
 
 
 def test_parse_scenario_rejects_unknown_keys(tmp_path):
@@ -181,7 +186,7 @@ def test_scan_empty_range(tmp_path):
 
 
 def test_scan_point_global_certified():
-    row = _scan_point(1, 4.0, 2.0, 1.0, grid_m=200, budget=2.0)
+    (row,) = _scan_global_points(1, [(4.0, 2.0)], 1.0, grid_m=200, budget=2.0)
     assert row["verdict_theory"] == "GlobalForSmallData"
     assert row["verdict_numeric"] == "DominatedToHorizon"
     assert row["certificate_eps"] > 0
@@ -228,7 +233,9 @@ def test_scan_rows_equal_per_point_rows(tmp_path):
     out = tmp_path / "scan"
     assert main(SCAN_2X2 + ["--out", str(out)]) == 0
     rows = json.loads((out / "scan.json").read_text())["points"]
-    expected = [_scan_point(1, p, q, 1.0, 200, 1.0)
+    # q = 1.8 lies above q_F = 3/2 (n = 1): those points are certified global
+    expected = [_scan_global_points(1, [(p, q)], 1.0, 200, 1.0)[0] if q > 1.5
+                else _scan_point(1, p, q, 1.0, 200, 1.0)
                 for p in (4.0, 6.0) for q in (1.4, 1.8)]
     assert rows == json.loads(json.dumps(expected))
     assert sum(row["verdict_numeric"] == "DominatedToHorizon" for row in rows) == 2
@@ -252,14 +259,25 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     ("dt_max", float("inf")),
     ("growth_cap", 0.0),
     ("growth_cap", -0.1),
+    ("kaplan_R", 20.0),
+    ("kaplan_R", -1.0),
 ], ids=["t_end-infinite", "t_end-negative", "dt_max-infinite", "growth_cap-zero",
-        "growth_cap-negative"])
+        "growth_cap-negative", "kaplan_R-beyond-L", "kaplan_R-negative"])
 def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
     doc["solve"][key] = value
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
     assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["problem"]["n"] = 1000  # Gamma(n/2) overflows a float from n = 344 on
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert "dimension n=1000" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -286,12 +304,89 @@ def _set(doc, path, value):
     (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
                     "centers": ["1.6", 4.2], "widths": [1, 1]}),
     (("profile",), {"kind": "sum", "parts": []}),
+    (("profile", "amplitude"), float("inf")),
+    (("profile",), {"kind": "sum", "parts": [{"kind": "gaussian", "amplitude": 1e308}] * 2}),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
         "M-float", "trace_stride-float", "output-stride-string", "problem-number",
-        "p-missing", "dipole-center-string", "sum-empty"])
+        "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
+        "sum-overflow"])
 def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     doc = blowup_config(tmp_path / "out")
     _set(doc, path, value)
     with pytest.raises(ConfigError, match=path[-1]):
         parse_scenario(doc)
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
+
+
+# Scenario fuzzing: each field is mostly drawn from its valid range and
+# sometimes replaced by an odd value (non-finite, oversized, out of range or
+# mistyped), so that both valid scenarios and every kind of refusal occur.
+_odd = st.one_of(st.floats(), st.integers(10 ** 300, 10 ** 320),
+                 st.sampled_from([0, -1, 5e-324, 1e308, -1e308]),
+                 st.lists(st.integers(-20, 20), min_size=2, max_size=2),
+                 st.none(), st.booleans(), st.text(max_size=3),
+                 st.dictionaries(st.sampled_from(["kind", "x"]), st.integers(),
+                                 max_size=2))
+
+
+def _maybe(valid):
+    return st.integers(0, 19).flatmap(lambda i: _odd if i == 0 else valid)
+
+
+def _real(lo, hi):
+    return _maybe(st.floats(lo, hi))
+
+
+# the end of the float range is a valid amplitude, but a sum of two overflows
+_amplitude = _maybe(st.one_of(st.floats(-10.0, 10.0), st.just(1e308)))
+_primitives = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "amplitude": _amplitude}),
+    st.fixed_dictionaries({"kind": st.just("algebraic"), "amplitude": _amplitude,
+                           "k": _real(0.01, 5.0)}),
+    st.fixed_dictionaries({"kind": st.just("annular_bump"), "amplitude": _amplitude,
+                           "center": _real(0.0, 12.0), "width": _real(0.1, 5.0)}),
+    st.fixed_dictionaries({"kind": st.just("signed_dipole"), "a_plus": _amplitude,
+                           "a_minus": _amplitude,
+                           "centers": _maybe(st.lists(_real(0.0, 12.0), min_size=2,
+                                                      max_size=2)),
+                           "widths": _maybe(st.lists(_real(0.1, 5.0), min_size=2,
+                                                     max_size=2))}),
+    st.just({"kind": "zero"}))
+_profiles = _maybe(st.one_of(
+    _primitives,
+    st.fixed_dictionaries({"kind": st.just("sum"),
+                           "parts": _maybe(st.lists(_primitives, min_size=1,
+                                                    max_size=4))})))
+
+_scenarios = st.fixed_dictionaries({
+    "problem": st.fixed_dictionaries(
+        {"n": _maybe(st.integers(1, 4)), "p": _real(1.01, 8.0), "q": _real(1.0, 4.0)},
+        optional={"b": _real(0.0, 3.0), "use_source": _maybe(st.booleans()),
+                  "use_gradient": _maybe(st.booleans())}),
+    "profile": _profiles,
+    # M stays small: a valid scenario allocates its grid
+    "grid": st.fixed_dictionaries({"L": _real(1.0, 20.0), "M": _maybe(st.integers(2, 40))}),
+    "solve": st.fixed_dictionaries({}, optional={
+        "t_end": _real(0.01, 10.0), "dt_init": _real(1e-4, 1e-2),
+        "dt_max": _real(1e-3, 0.1), "blowup_threshold": _real(2.0, 1e10),
+        "growth_cap": _real(0.01, 1.0), "theta_scheme": _real(0.0, 1.0),
+        "trace_stride": _maybe(st.integers(1, 20)), "kaplan_R": _real(0.01, 25.0)}),
+}, optional={
+    "forcing": _maybe(st.one_of(
+        st.just({"kind": "none"}),
+        st.fixed_dictionaries({"kind": st.just("gaussian"), "amplitude": _real(0.0, 10.0)}),
+        st.fixed_dictionaries({"kind": st.just("constructed_stationary")},
+                              optional={"eps": _real(1e-4, 0.1)}))),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scenarios)
+def test_parse_scenario_fuzz_rejects_or_gives_a_finite_start(doc):
+    try:
+        params, grid, config, profile, forcing, _ = parse_scenario(doc)
+        build_forcing_field(forcing, params, grid)
+    except ValueError:  # ConfigError included
+        return
+    assert np.all(np.isfinite(sample_profile(profile, grid).values))
+    assert config.kaplan_R is None or 0 < config.kaplan_R <= grid.L

@@ -307,17 +307,19 @@ def gaussian_data(g, amplitudes):
     return fields
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_run_batch_columns_equal_run(n):
+@pytest.mark.parametrize("n, forced", [(1, False), (3, False), (1, True), (3, True)],
+                         ids=["1", "3", "1-forced", "3-forced"])
+def test_run_batch_columns_equal_run(n, forced):
     g = RadialGrid(n, 12.0, 200)
-    # exponents 2.0 and 1.0 take numpy's scalar fast paths in `run`
+    # exponents 2.0 and 1.0 take numpy's scalar fast paths in a lone run
     pq = [(2.0, 1.0), (4.0, 2.0), (4.0, 1.7), (6.5, 2.0), (6.5, 3.0)]
     params = [ProblemParams(n=n, p=p, q=q) for p, q in pq]
     u0s = gaussian_data(g, [0.02, 0.05, 0.03, 0.05, 0.04])
+    h = sample_profile(ProfileSpec.gaussian(0.01), g) if forced else None
     cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_min=1e-9, dt_max=5e-3,
                       trace_stride=7, kaplan_R=3.0, store_fields=True)
-    for got, prm, u0 in zip(run_batch(params, u0s, cfg), params, u0s):
-        assert_same_outcome(got, run(prm, u0, None, cfg))
+    for got, prm, u0 in zip(run_batch(params, u0s, cfg, h), params, u0s):
+        assert_same_outcome(got, run(prm, u0, h, cfg))
 
 
 def test_run_batch_falls_back_to_run_for_rejected_and_blown_up_columns(monkeypatch):
@@ -341,6 +343,29 @@ def test_run_batch_falls_back_to_run_for_rejected_and_blown_up_columns(monkeypat
     assert [o.status for o in outcomes] == [SolveStatus.BLOW_UP,
                                             SolveStatus.REACHED_HORIZON,
                                             SolveStatus.BLOW_UP]
+    for got, prm, u0 in zip(outcomes, params, u0s):
+        assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_run_batch_ends_a_column_at_the_blowup_threshold_in_place(monkeypatch):
+    g = RadialGrid(1, 12.0, 200)
+    params = [ProblemParams(n=1, p=2, q=2), ProblemParams(n=1, p=4, q=2)]
+    # with a loose growth cap the large datum is accepted up to the threshold
+    u0s = gaussian_data(g, [2.0, 0.05])
+    cfg = SolveConfig(t_end=3.0, dt_init=1e-3, dt_min=1e-10, dt_max=2e-2,
+                      blowup_threshold=1e4, growth_cap=100.0, trace_stride=5,
+                      store_fields=True)
+    reruns = []
+
+    def spy(prm, u0, h, config):
+        reruns.append(prm.p)
+        return run(prm, u0, h, config)
+
+    monkeypatch.setattr(solver, "run", spy)
+    outcomes = run_batch(params, u0s, cfg)
+    assert reruns == []
+    assert [o.status for o in outcomes] == [SolveStatus.BLOW_UP,
+                                            SolveStatus.REACHED_HORIZON]
     for got, prm, u0 in zip(outcomes, params, u0s):
         assert_same_outcome(got, run(prm, u0, None, cfg))
 
