@@ -210,8 +210,14 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     amplitude with eps^(p-1) + C_grad eps^(q-1) <= k (bisection), which is
     exactly the scalar inequality making the residual nonnegative for all
     (t, r); the lattice evaluation then cross-checks the sign pointwise.
+    Refused (ValueError) unless n >= 1, p, q, b are finite, C_grad and the
+    bisection stay in the float range, eps > 0 and the residual is >= 0
+    (so a NaN residual fails).
     """
     p, q, b = float(p), float(q), float(b)
+    if not (n >= 1 and all(map(math.isfinite, (p, q, b)))):
+        raise ValueError(f"need n >= 1 and finite p, q, b; got n={n!r}, "
+                         f"p={p!r}, q={q!r}, b={b!r}")
     if not p > 1.0 + 2.0 / n:
         raise ValueError(f"hypothesis failed: p <= p_F = 1 + 2/n = {1 + 2 / n:.6g}")
     if not q > 1.0 + 1.0 / (n + 1):
@@ -226,12 +232,17 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     # gradient-term constant: b 2^-q max_{s>=0} s^q e^(-(q-1)s^2/4),
     # maximized around the analytic stationarity point s^2 = 2q/(q-1)
     s_star = math.sqrt(2.0 * q / (q - 1.0))
-    _, g_max = _golden_max(lambda s: s ** q * math.exp(-(q - 1.0) * s * s / 4.0),
-                           0.0, 3.0 * s_star)
-    c_grad = b * 2.0 ** (-q) * g_max
-
-    eps = _bisect_largest(lambda e: e ** (p - 1.0) + c_grad * e ** (q - 1.0) - k)
+    try:
+        _, g_max = _golden_max(lambda s: s ** q * math.exp(-(q - 1.0) * s * s / 4.0),
+                               0.0, 3.0 * s_star)
+        c_grad = b * 2.0 ** (-q) * g_max
+        eps = _bisect_largest(lambda e: e ** (p - 1.0) + c_grad * e ** (q - 1.0) - k)
+    except OverflowError:
+        raise ValueError(f"C_grad or the eps bisection overflows a float "
+                         f"(p={p!r}, q={q!r}, b={b!r})") from None
     eps *= 1.0 - 1e-9  # keep the re-evaluated residual clear of rounding
+    if not eps > 0.0:
+        raise ValueError(f"eps underflows to {eps!r} (C_grad = {c_grad!r})")
 
     cert = GaussianCertificate(n=n, p=p, q=q, b=b, k=k, eps=eps, C_grad=c_grad,
                                residual_min=math.nan, verified=False,
@@ -244,7 +255,8 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     # <= 0 by the choice of k); spot-check the minimum is not deteriorating
     late = min(supersolution_residual(cert, [t_max * 2.0], lattice_grid),
                supersolution_residual(cert, [t_max * 4.0], lattice_grid))
-    if res_min < 0.0 or late < 0.0:
+    # written so that a NaN residual fails too
+    if not (res_min >= 0.0 and late >= 0.0):
         raise ValueError(f"supersolution residual is negative on the lattice "
                          f"(min {min(res_min, late):.3e}); certificate refused")
     return dataclasses.replace(cert, residual_min=res_min, verified=True)

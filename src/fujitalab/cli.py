@@ -100,8 +100,11 @@ def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
     def real(key: str) -> float:
         return float(_field(obj, key, Real, where))
 
-    def reals(key: str) -> list:
-        return [float(_number(x, f"{where}.{key}")) for x in _field(obj, key, list, where)]
+    def pair(key: str) -> list:
+        values = _field(obj, key, list, where)
+        if len(values) != 2:
+            raise ConfigError(f"{where}.{key}: expected two numbers, got {values!r}")
+        return [float(_number(x, f"{where}.{key}")) for x in values]
 
     kind = obj["kind"]
     if kind == "gaussian":
@@ -116,7 +119,7 @@ def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
     if kind == "signed_dipole":
         _check_keys(obj, {"kind", "a_plus", "a_minus", "centers", "widths"}, where)
         return ProfileSpec.signed_dipole(real("a_plus"), real("a_minus"),
-                                         reals("centers"), reals("widths"))
+                                         pair("centers"), pair("widths"))
     if kind == "zero":
         _check_keys(obj, {"kind"}, where)
         return ProfileSpec.zero()
@@ -173,8 +176,12 @@ def parse_scenario(doc: dict):
     )
 
     _check_keys(gr, {"L", "M"}, "grid")
-    grid = RadialGrid(params.n, float(_field(gr, "L", Real, "grid")),
-                      _field(gr, "M", int, "grid"))
+    length = float(_field(gr, "L", Real, "grid"))
+    # keeps the squares and reciprocal squares of the grid spacing and of
+    # the Kaplan radius far inside the float range
+    if not 1e-50 <= length <= 1e50:
+        raise ConfigError(f"grid.L: expected 1e-50 <= L <= 1e50, got {length!r}")
+    grid = RadialGrid(params.n, length, _field(gr, "M", int, "grid"))
 
     _check_keys(sv, {"t_end", "dt_init", "dt_min", "dt_max", "blowup_threshold",
                      "growth_cap", "theta_scheme", "trace_stride", "kaplan_R"}, "solve")
@@ -185,9 +192,10 @@ def parse_scenario(doc: dict):
             kw[key] = float(_field(sv, key, Real, "solve"))
     if "trace_stride" in sv:
         kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
-    if "kaplan_R" in kw and not 0 < kw["kaplan_R"] <= grid.L:
-        raise ConfigError(f"solve.kaplan_R: expected 0 < kaplan_R <= grid.L = "
-                          f"{grid.L!r}, got {kw['kaplan_R']!r}")
+    # the Kaplan ball spans at least one grid cell and lies inside B_L
+    if "kaplan_R" in kw and not grid.h_r <= kw["kaplan_R"] <= grid.L:
+        raise ConfigError(f"solve.kaplan_R: expected grid.L/(grid.M+1) = {grid.h_r!r} "
+                          f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
 
     profile = _parse_profile(profile_doc)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,19 +347,26 @@ def _scan_global_points(n: int, points, b: float, grid_m: int,
     """The scan rows of certified-global points, confirmed together by one
     ``run_batch`` from the data 0.9 z(0) that each point's gaussian
     certificate z dominates (a point whose step the batch would reject is
-    re-run on its own)."""
+    re-run on its own).  A point whose certificate is refused stays
+    unresolved and is not run."""
     grid = RadialGrid(n, 12.0, grid_m)
     config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
                          dt_max=5e-3, trace_stride=20, store_fields=True)
-    params = [ProblemParams(n=n, p=p, q=q, b=b) for p, q in points]
-    certs = [gaussian_certificate(prm.n, prm.p, prm.q, prm.b) for prm in params]
+    rows, params, certs = [], [], []
+    for p, q in points:
+        prm = ProblemParams(n=n, p=p, q=q, b=b)
+        try:
+            certs.append(gaussian_certificate(n, p, q, b))
+            params.append(prm)
+        except ValueError:
+            rows.append(_scan_row(prm))
     u0s = [Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
            for cert in certs]
     for u0 in u0s:
         u0.values[-1] = 0.0
     outcomes = run_batch(params, u0s, config)
-    return [_global_verdict(_scan_row(prm), cert, outcome, config)
-            for prm, cert, outcome in zip(params, certs, outcomes)]
+    return rows + [_global_verdict(_scan_row(prm), cert, outcome, config)
+                   for prm, cert, outcome in zip(params, certs, outcomes)]
 
 
 def _global_verdict(row: dict, cert, outcome, config: SolveConfig) -> dict:
@@ -391,9 +406,24 @@ def scan_csv(rows) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
+    try:
+        RadialGrid(args.n, 12.0, 2)
+    except ValueError as exc:
+        print(f"error: --n: {exc}", file=sys.stderr)
         return 2
+    for bad, message in ((args.steps < 0, "--steps must be >= 0"),
+                         (not (math.isfinite(args.b) and args.b > 0),
+                          "--b must be finite and > 0"),
+                         (not all(map(math.isfinite, args.p_range)),
+                          "--p-range must be finite"),
+                         (not all(map(math.isfinite, args.q_range)),
+                          "--q-range must be finite"),
+                         (args.grid_m < 2, "--grid-m must be >= 2"),
+                         (not (math.isfinite(args.budget) and args.budget > 0),
+                          "--budget must be finite and > 0")):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     if args.steps == 0:
         ps, qs = [], []
     elif args.steps == 1:
@@ -406,14 +436,6 @@ def cmd_scan(args) -> int:
         if not (p > 1 and q >= 1):
             print(f"error: scan point (p={p}, q={q}) outside standing assumptions",
                   file=sys.stderr)
-            return 2
-    for bad, message in ((args.n < 1, "--n must be >= 1"),
-                         (not args.b > 0, "--b must be > 0"),
-                         (args.grid_m < 2, "--grid-m must be >= 2"),
-                         (not (math.isfinite(args.budget) and args.budget > 0),
-                          "--budget must be finite and > 0")):
-        if bad:
-            print(f"error: {message}", file=sys.stderr)
             return 2
 
     global_points, blowup_points = [], []

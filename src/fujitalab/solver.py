@@ -5,11 +5,10 @@ per step), the nonlinear reaction explicit.  The step size halves whenever
 a step produces a non-finite state or grows the sup norm by more than
 ``growth_cap`` relative, and grows by 1.2x up to ``dt_max`` otherwise.
 
-The implicit matrix I - theta dt A depends on the step only through dt, and
-dt only takes the values dt_init 1.2^k 2^-j capped at dt_max, so an
-``ImexStepper`` keeps the LU factors of the last ``LU_CACHE_SIZE`` (32) dt
-values and solves each step from them; the oldest entry is evicted first.
-The cached solve is bit-identical to refactoring on every step.
+The implicit matrix I - theta dt A depends on the step only through dt,
+and dt sits at dt_max for long stretches of a settled run, so an
+``ImexStepper`` keeps the LU factors of the last dt and refactors only when
+dt changes.  The solve from kept factors is bit-identical to refactoring.
 
 The step kernel ``_step`` advances a (K, M+2) block of fields, one field
 per row, with one multi-column solve.  ``run_batch`` holds the one adaptive
@@ -31,7 +30,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
@@ -113,44 +112,29 @@ class SolveOutcome:
     snapshots: Optional[List[Tuple[float, Field]]] = None
 
 
-LU_CACHE_SIZE = 32
-
-
 class ImexStepper:
     """The implicit half of the theta scheme on one grid.
 
-    Holds the banded Laplacian A (boundary node eliminated), the LU factors
-    of I - theta dt A for up to ``LU_CACHE_SIZE`` distinct dt, keyed by the
-    exact float dt and evicted oldest first, and the work buffers of
-    ``_step`` for the current block height.
+    Holds the banded Laplacian A (boundary node eliminated) and the LU
+    factors of I - theta dt A for the last dt it solved with.
     """
 
     def __init__(self, grid: RadialGrid, theta: float) -> None:
         self.grid = grid
         self.theta = theta
         self.ab, self.c_boundary = laplacian_banded(grid)
-        self._factors: Dict[float, BandedLU] = {}
-        self._work: Tuple[np.ndarray, ...] = ()
+        self._dt: Optional[float] = None
+        self._lu: Optional[BandedLU] = None
 
     def solve(self, dt: float, b: np.ndarray) -> np.ndarray:
         """x with (I - theta dt A) x = b, one system per column of b;
         ``b`` is overwritten when it is Fortran-contiguous."""
-        lu = self._factors.get(dt)
-        if lu is None:
+        if dt != self._dt:
             a = -self.theta * dt * self.ab
             a[1] += 1.0
-            lu = banded_lu(a)
-            if len(self._factors) >= LU_CACHE_SIZE:
-                del self._factors[next(iter(self._factors))]
-            self._factors[dt] = lu
-        return banded_lu_solve(lu, b)
-
-    def work(self, k: int) -> Tuple[np.ndarray, ...]:
-        """Reaction, gradient and right-hand-side buffers for k rows."""
-        if not self._work or self._work[0].shape[0] != k:
-            m = self.grid.M + 2
-            self._work = (np.empty((k, m)), np.empty((k, m)), np.empty((k, m - 1)))
-        return self._work
+            self._lu = banded_lu(a)
+            self._dt = dt
+        return banded_lu_solve(self._lu, b)
 
 
 def step(u: Field, dt: float, params: ProblemParams, h: Optional[Field] = None,
@@ -172,18 +156,15 @@ def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
     cancel an inf or a NaN), which the caller rejects.
     """
     theta = stepper.theta
-    react, scratch, b = stepper.work(v.shape[0])
-    out = np.empty_like(v)
+    out = v.copy()  # the boundary column stays
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reaction(v, react, scratch)
-        np.multiply(react[:, :-1], dt, out=b)
+        b = reaction(v)[:, :-1] * dt
         b += v[:, :-1]
         if theta < 1.0:
             b += dt * (1.0 - theta) * _laplacian_rows(v, stepper.grid)[:, :-1]
         b[:, -1] += theta * dt * stepper.c_boundary * v[:, -1]
         # b.T is Fortran-ordered, so one dgttrs solves every row in place
         out[:, :-1] = stepper.solve(dt, b.T).T
-    out[:, -1] = v[:, -1]
     return out
 
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fujitalab import cli
 from fujitalab.cli import (ConfigError, build_forcing_field, main,
                            parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
@@ -164,6 +170,20 @@ def test_certify_refused_regime(capsys):
     assert "p <= p_F" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--p", "inf", "--q", "2"],
+    ["--n", "1", "--p", "4", "--q", "2", "--b", "inf"],
+    ["--n", "1", "--p", "4", "--q", "2", "--b", "1e300"],
+    ["--n", "0", "--p", "4", "--q", "2"],
+    ["--n", "1", "--p", "4", "--q", "1e6"],
+], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows"])
+def test_certify_refuses_a_certificate_it_cannot_verify(capsys, argv):
+    assert main(["certify", "--kind", "gaussian"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("certificate refused: ")
+    assert captured.out == ""
+
+
 def test_table_cli(capsys):
     assert main(["table", "--n", "1"]) == 0
     text = capsys.readouterr().out
@@ -244,13 +264,40 @@ def test_scan_rows_equal_per_point_rows(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--budget", "0"), ("--budget", "-5"), ("--budget", "nan"),
     ("--grid-m", "1"), ("--n", "0"), ("--b", "0"),
-], ids=["budget-zero", "budget-negative", "budget-nan", "grid-m-1", "n-0", "b-0"])
+    ("--n", "1000"), ("--b", "inf"), ("--p-range", "inf inf"), ("--q-range", "inf inf"),
+    ("--p-range", "4 nan"),
+], ids=["budget-zero", "budget-negative", "budget-nan", "grid-m-1", "n-0", "b-0",
+        "n-sphere-area-overflows", "b-inf", "p-range-inf", "q-range-inf", "p-range-nan"])
 def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     out = tmp_path / "scan"
     # argparse keeps the last occurrence of a repeated option
-    assert main(SCAN_2X2 + [flag, value, "--out", str(out)]) == 2
+    assert main(SCAN_2X2 + [flag, *value.split(), "--out", str(out)]) == 2
     assert f"error: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--b", "1e300"), ("--q-range", "1e6 1e6")],
+                         ids=["b-huge-eps-underflows", "q-huge-C_grad-overflows"])
+def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
+        tmp_path, monkeypatch, flag, value):
+    columns = []
+    real = cli.run_batch
+
+    def spy(params, u0s, config):
+        columns.append(len(params))
+        return real(params, u0s, config)
+
+    monkeypatch.setattr(cli, "run_batch", spy)
+    out = tmp_path / "scan"
+    assert main(["scan", "--n", "1", "--p-range", "4", "4", "--q-range", "1.6", "1.6",
+                 "--steps", "1", "--budget", "1.0", "--grid-m", "50",
+                 flag, *value.split(), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "scan.json").read_text())["points"]
+    assert row["verdict_theory"] == "GlobalForSmallData"
+    assert row["verdict_numeric"] == "unresolved"
+    assert row["certificate_eps"] is None
+    assert columns == [0]  # the point is not run
+    assert (out / "scan.csv").read_text().splitlines()[1].endswith(",unresolved,,")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -261,8 +308,10 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     ("growth_cap", -0.1),
     ("kaplan_R", 20.0),
     ("kaplan_R", -1.0),
+    ("kaplan_R", 1e-300),
 ], ids=["t_end-infinite", "t_end-negative", "dt_max-infinite", "growth_cap-zero",
-        "growth_cap-negative", "kaplan_R-beyond-L", "kaplan_R-negative"])
+        "growth_cap-negative", "kaplan_R-beyond-L", "kaplan_R-negative",
+        "kaplan_R-below-one-cell"])
 def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
@@ -306,10 +355,16 @@ def _set(doc, path, value):
     (("profile",), {"kind": "sum", "parts": []}),
     (("profile", "amplitude"), float("inf")),
     (("profile",), {"kind": "sum", "parts": [{"kind": "gaussian", "amplitude": 1e308}] * 2}),
+    (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
+                    "centers": [1.6], "widths": [1, 1]}),
+    (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
+                    "centers": [1.6, 4.2], "widths": [1, 1, 1]}),
+    (("grid", "L"), 5e-324),
+    (("grid", "L"), 1e300),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
         "M-float", "trace_stride-float", "output-stride-string", "problem-number",
         "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
-        "sum-overflow"])
+        "sum-overflow", "dipole-one-center", "dipole-three-widths", "L-tiny", "L-huge"])
 def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     doc = blowup_config(tmp_path / "out")
     _set(doc, path, value)
@@ -358,26 +413,38 @@ _profiles = _maybe(st.one_of(
                            "parts": _maybe(st.lists(_primitives, min_size=1,
                                                     max_size=4))})))
 
-_scenarios = st.fixed_dictionaries({
-    "problem": st.fixed_dictionaries(
-        {"n": _maybe(st.integers(1, 4)), "p": _real(1.01, 8.0), "q": _real(1.0, 4.0)},
-        optional={"b": _real(0.0, 3.0), "use_source": _maybe(st.booleans()),
-                  "use_gradient": _maybe(st.booleans())}),
-    "profile": _profiles,
-    # M stays small: a valid scenario allocates its grid
-    "grid": st.fixed_dictionaries({"L": _real(1.0, 20.0), "M": _maybe(st.integers(2, 40))}),
-    "solve": st.fixed_dictionaries({}, optional={
-        "t_end": _real(0.01, 10.0), "dt_init": _real(1e-4, 1e-2),
-        "dt_max": _real(1e-3, 0.1), "blowup_threshold": _real(2.0, 1e10),
-        "growth_cap": _real(0.01, 1.0), "theta_scheme": _real(0.0, 1.0),
-        "trace_stride": _maybe(st.integers(1, 20)), "kaplan_R": _real(0.01, 25.0)}),
-}, optional={
-    "forcing": _maybe(st.one_of(
-        st.just({"kind": "none"}),
-        st.fixed_dictionaries({"kind": st.just("gaussian"), "amplitude": _real(0.0, 10.0)}),
-        st.fixed_dictionaries({"kind": st.just("constructed_stationary")},
-                              optional={"eps": _real(1e-4, 0.1)}))),
-})
+_solve_keys = {
+    "dt_init": _real(1e-4, 1e-2), "dt_max": _real(1e-3, 0.1),
+    "blowup_threshold": _real(2.0, 1e10), "growth_cap": _real(0.01, 1.0),
+    "theta_scheme": _real(0.0, 1.0), "trace_stride": _maybe(st.integers(1, 20)),
+    "kaplan_R": _real(0.01, 25.0)}
+
+
+def _scenario(grid_m, solve):
+    return st.fixed_dictionaries({
+        "problem": st.fixed_dictionaries(
+            {"n": _maybe(st.integers(1, 4)), "p": _real(1.01, 8.0), "q": _real(1.0, 4.0)},
+            optional={"b": _real(0.0, 3.0), "use_source": _maybe(st.booleans()),
+                      "use_gradient": _maybe(st.booleans())}),
+        "profile": _profiles,
+        "grid": st.fixed_dictionaries({"L": _real(1.0, 20.0), "M": grid_m}),
+        "solve": solve,
+    }, optional={
+        "forcing": _maybe(st.one_of(
+            st.just({"kind": "none"}),
+            st.fixed_dictionaries({"kind": st.just("gaussian"),
+                                   "amplitude": _real(0.0, 10.0)}),
+            st.fixed_dictionaries({"kind": st.just("constructed_stationary")},
+                                  optional={"eps": _real(1e-4, 0.1)}))),
+    })
+
+
+# M stays small: a valid scenario allocates its grid
+_scenarios = _scenario(_maybe(st.integers(2, 40)), st.fixed_dictionaries(
+    {}, optional={"t_end": _real(0.01, 10.0), **_solve_keys}))
+# a run stays short: a tiny grid and t_end <= 1e-3
+_short_runs = _scenario(st.integers(2, 50), st.fixed_dictionaries(
+    {"t_end": st.floats(1e-5, 1e-3)}, optional=_solve_keys))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -390,3 +457,41 @@ def test_parse_scenario_fuzz_rejects_or_gives_a_finite_start(doc):
         return
     assert np.all(np.isfinite(sample_profile(profile, grid).values))
     assert config.kaplan_R is None or 0 < config.kaplan_R <= grid.L
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_short_runs)
+def test_run_fuzz_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        doc["output"] = {"dir": str(Path(tmp) / "out")}
+        assert main(["run", str(write_config(Path(tmp), doc))]) in (0, 2)
+
+
+def _mostly(valid, odd):
+    return st.integers(0, 4).flatmap(lambda i: odd if i == 0 else valid)
+
+
+# each input mostly inside the certificate's regime (p > 3 >= p_F and
+# q > 1.5 >= q_F for every n >= 1), sometimes non-finite, huge or negative
+_cert_odd = st.one_of(st.floats(), st.sampled_from([1e6, 1e300, 1e308, 5e-324, 0.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mostly(st.integers(1, 4), st.one_of(st.integers(-1, 0), st.integers(300, 10 ** 6))),
+       _mostly(st.floats(3.01, 10.0), _cert_odd), _mostly(st.floats(1.51, 4.0), _cert_odd),
+       _mostly(st.floats(0.0, 3.0), _cert_odd))
+def test_certify_fuzz_verifies_or_refuses(n, p, q, b):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", "--kind", "gaussian", f"--n={n}",
+                     f"--p={p!r}", f"--q={q!r}", f"--b={b!r}"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("certificate refused: ")
+        return
+    doc = json.loads(out.getvalue())
+    assert doc["verified"] is True
+    assert math.isfinite(doc["residual_min"]) and doc["residual_min"] >= 0.0
+    assert doc["eps"] > 0.0

@@ -146,6 +146,15 @@ def test_eigenpair_n1_analytic():
     assert abs(integrate(pair.phi) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("R", [1e-10, 1.0])
+def test_eigenpair_converges_on_small_balls_and_wobbling_estimates(R):
+    # R = 1 with M = 200 wobbles in the last bits of lam and never
+    # stagnates; R = 1e-10 has lam ~ 1e20, whose residual scales with it
+    pair = principal_eigenpair(1, R, 200)
+    assert pair.lam * R * R == pytest.approx(math.pi ** 2 / 4.0, rel=1e-4)
+    assert abs(integrate(pair.phi) - 1.0) < 1e-10
+
+
 def test_eigenpair_n3_analytic():
     pair = principal_eigenpair(3, 1.0, 2000)
     assert pair.lam == pytest.approx(math.pi ** 2, rel=1e-4)

@@ -8,10 +8,10 @@ from fujitalab import solver
 from fujitalab.core import ProblemParams
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, sample_profile
 from fujitalab.operators import laplacian_banded
-from fujitalab.solver import (LU_CACHE_SIZE, ImexStepper, SolveConfig,
-                              SolveStatus, TraceRecord, comparison_tolerance,
-                              detect_blowup, heat_reference, measure_plateau,
-                              run, run_batch, step, trace_to_csv)
+from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
+                              TraceRecord, comparison_tolerance, detect_blowup,
+                              heat_reference, measure_plateau, run, run_batch,
+                              step, trace_to_csv)
 
 
 def synthetic_trace(ts, sups):
@@ -52,18 +52,6 @@ def test_stepper_solve_bitwise_equals_solve_banded(n, theta):
             assert np.array_equal(stepper.solve(dt, b.copy()), expected)
 
 
-def test_stepper_cache_never_exceeds_its_bound():
-    g = RadialGrid(1, 8.0, 300)
-    stepper = ImexStepper(g, 1.0)
-    b = np.ones(g.M + 1)
-    dts = [1e-3 * 0.9 ** k for k in range(LU_CACHE_SIZE + 12)]
-    for dt in dts:
-        stepper.solve(dt, b.copy())
-        assert len(stepper._factors) <= LU_CACHE_SIZE
-    # oldest first out: the newest LU_CACHE_SIZE dt values remain
-    assert list(stepper._factors) == dts[-LU_CACHE_SIZE:]
-
-
 @pytest.fixture
 def factored(monkeypatch):
     """Diagonal heads of every matrix the solver factors during a test."""
@@ -83,10 +71,13 @@ def test_stepper_reuses_factors_of_a_repeated_dt(factored):
     stepper = ImexStepper(g, 1.0)
     b = np.linspace(0.0, 1.0, g.M + 1)
     first = stepper.solve(1e-3, b.copy())
-    stepper.solve(2e-3, b.copy())
     again = stepper.solve(1e-3, b.copy())
-    assert len(factored) == 2
+    assert len(factored) == 1
     assert np.array_equal(first, again)
+    # only the last dt's factors are kept: returning to 1e-3 refactors
+    stepper.solve(2e-3, b.copy())
+    assert np.array_equal(stepper.solve(1e-3, b.copy()), first)
+    assert len(factored) == 3
 
 
 def test_run_factors_each_distinct_dt_once(factored):
