@@ -315,6 +315,8 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
     of h > 0; an explicit eps is accepted as long as its margin is negative.
     """
     p, q, b = float(p), float(q), float(b)
+    if not all(map(math.isfinite, (p, q, b))):
+        raise ValueError(f"need finite p, q, b; got p={p!r}, q={q!r}, b={b!r}")
     if n < 3:
         raise ValueError("stationary certificate needs n >= 3 (empty k-window)")
     if not p > n / (n - 2):
@@ -327,10 +329,14 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
         raise ValueError("empty k-window")
     k = 0.5 * (lo + hi)
     decay = 2.0 * k * (2.0 * (k + 1.0) - n)  # < 0 inside the window
-    if eps is None:
-        budget = 0.75 * abs(decay)
-        eps = _bisect_largest(lambda e: e ** (p - 1.0) + 2.0 ** q * b * e ** (q - 1.0) - budget)
-    margin = decay + eps ** (p - 1.0) + 2.0 ** q * b * eps ** (q - 1.0)
+    try:
+        if eps is None:
+            budget = 0.75 * abs(decay)
+            eps = _bisect_largest(
+                lambda e: e ** (p - 1.0) + 2.0 ** q * b * e ** (q - 1.0) - budget)
+        margin = decay + eps ** (p - 1.0) + 2.0 ** q * b * eps ** (q - 1.0)
+    except OverflowError:
+        raise ValueError(f"the margin overflows a float (p={p!r}, q={q!r}, b={b!r})") from None
     if not margin < 0.0:
         raise ValueError(f"margin {margin:.6g} is not negative; eps too large")
     if grid is None:

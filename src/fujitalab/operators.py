@@ -47,7 +47,8 @@ def gradient_magnitude(f: Field) -> Field:
 
 def _gradient_rows(v: np.ndarray, h: float) -> np.ndarray:
     """|d/dr| along the last axis of v; zero at the center."""
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
+    out[..., 0] = 0.0
     inner = out[..., 1:-1]
     np.subtract(v[..., 2:], v[..., :-2], out=inner)
     np.abs(inner, out=inner)
@@ -224,12 +225,9 @@ def principal_eigenpair(n: int, R: float, M: int,
         by = _banded_matvec(neg, y)
         lam = float(y @ by)
         x = y
-        if abs(lam - lam_prev) <= tol * abs(lam):
-            stagnant += 1
-            if stagnant >= 2:
-                break
-        else:
-            stagnant = 0
+        stagnant = stagnant + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
+        if stagnant >= 2:
+            break
         lam_prev = lam
     # the residual scales with lam, which grows as R^-2 on small balls
     resid_rel = float(np.max(np.abs(_banded_matvec(neg, x) - lam * x))

@@ -176,8 +176,12 @@ def test_certify_refused_regime(capsys):
     ["--n", "1", "--p", "4", "--q", "2", "--b", "1e300"],
     ["--n", "0", "--p", "4", "--q", "2"],
     ["--n", "1", "--p", "4", "--q", "1e6"],
-], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows"])
+    ["--n", "3", "--p", "inf", "--q", "2", "--kind", "stationary"],
+    ["--n", "3", "--p", "4", "--q", "1e6", "--kind", "stationary"],
+], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows",
+        "stationary-p-inf", "stationary-q-huge-margin-overflows"])
 def test_certify_refuses_a_certificate_it_cannot_verify(capsys, argv):
+    # argparse keeps the last --kind
     assert main(["certify", "--kind", "gaussian"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("certificate refused: ")
