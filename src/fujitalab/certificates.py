@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ProblemParams
 from .grid import Field, RadialGrid, integrate
-from .operators import Eigenpair, gradient_magnitude
+from .operators import Eigenpair, Reaction
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,26 @@ def ode_comparison(y0: float, p: float, lam: float, R: float) -> OdeVerdict:
     return OdeVerdict(blows_up=False, t_star=None, threshold=threshold)
 
 
-def kaplan_radius(p: float, ell: float, lambda1: float, slack: float = 1.05) -> float:
+def kaplan_radius(p: float, ell: float, lambda1: float) -> float:
     """Ball radius putting the level ell/2 strictly above the ODE threshold.
 
-    Returns slack * sqrt(lambda1) * (ell/2)^((1-p)/2): any radius above
+    Returns 1.05 sqrt(lambda1) (ell/2)^((1-p)/2): any radius above
     sqrt(lambda1) (ell/2)^((1-p)/2) makes (ell/2)^(p-1) > lambda1 R^-2.
     """
     if not (ell > 0 and p > 1 and lambda1 > 0):
         raise ValueError("need ell > 0, p > 1, lambda1 > 0")
-    return slack * math.sqrt(lambda1) * (ell / 2.0) ** ((1.0 - p) / 2.0)
+    return 1.05 * math.sqrt(lambda1) * (ell / 2.0) ** ((1.0 - p) / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian (decaying) supersolution
 # ---------------------------------------------------------------------------
+
+# every gaussian certificate is checked on this (t, r) lattice
+_LATTICE_R_MAX = 12.0
+_LATTICE_T_MAX = 100.0
+_LATTICE_POINTS = 400
+
 
 @dataclass(frozen=True)
 class GaussianCertificate:
@@ -126,37 +132,16 @@ class GaussianCertificate:
     lattice_points: int
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-13) -> Tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _bisect_largest(g, hi_start: float = 1.0, iters: int = 200) -> float:
-    """Largest x >= 0 with g(x) <= 0, for increasing g with g(0) < 0."""
-    hi = hi_start
-    grow = 0
+def _bisect_largest(g) -> float:
+    """Largest x >= 0 with g(x) <= 0, for increasing g with g(0) < 0, by 200
+    halvings of a bracket doubled from 1; ValueError if g(2^200) <= 0."""
+    hi = 1.0
     while g(hi) <= 0.0:
+        if hi >= 2.0 ** 200:
+            raise ValueError("the eps bisection bracket does not close below 2^200")
         hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise RuntimeError("bisection bracket failed to close")
     lo = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
             lo = mid
@@ -200,9 +185,13 @@ def supersolution_residual(cert: GaussianCertificate, times: Sequence[float],
     return float(res.min())
 
 
-def gaussian_certificate(n: int, p: float, q: float, b: float,
-                         r_max: float = 12.0, t_max: float = 100.0,
-                         lattice_points: int = 400) -> GaussianCertificate:
+def gradient_constant(q: float, b: float) -> float:
+    """C_grad = b 2^-q max_{s>=0} s^q e^(-(q-1)s^2/4), the gradient term's
+    constant; the maximum is taken at the stationary point s^2 = 2q/(q-1)."""
+    return b * 2.0 ** (-q) * (2.0 * q / (q - 1.0)) ** (q / 2.0) * math.exp(-q / 2.0)
+
+
+def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertificate:
     """Construct and verify the decaying supersolution certificate.
 
     Requires the small-data global regime p > 1 + 2/n and q > 1 + 1/(n+1).
@@ -211,8 +200,8 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     exactly the scalar inequality making the residual nonnegative for all
     (t, r); the lattice evaluation then cross-checks the sign pointwise.
     Refused (ValueError) unless n >= 1, p, q, b are finite, C_grad and the
-    bisection stay in the float range, eps > 0 and the residual is >= 0
-    (so a NaN residual fails).
+    bisection stay in the float range, the bisection bracket closes below
+    2^200, eps > 0 and the residual is >= 0 (so a NaN residual fails).
     """
     p, q, b = float(p), float(q), float(b)
     if not (n >= 1 and all(map(math.isfinite, (p, q, b)))):
@@ -229,32 +218,29 @@ def gaussian_certificate(n: int, p: float, q: float, b: float,
     k_gradient = n / 2.0 + (q - 2.0) / (2.0 * (q - 1.0))
     k = 0.5 * min(k_source, k_gradient)
 
-    # gradient-term constant: b 2^-q max_{s>=0} s^q e^(-(q-1)s^2/4),
-    # maximized around the analytic stationarity point s^2 = 2q/(q-1)
-    s_star = math.sqrt(2.0 * q / (q - 1.0))
     try:
-        _, g_max = _golden_max(lambda s: s ** q * math.exp(-(q - 1.0) * s * s / 4.0),
-                               0.0, 3.0 * s_star)
-        c_grad = b * 2.0 ** (-q) * g_max
+        c_grad = gradient_constant(q, b)
         eps = _bisect_largest(lambda e: e ** (p - 1.0) + c_grad * e ** (q - 1.0) - k)
     except OverflowError:
         raise ValueError(f"C_grad or the eps bisection overflows a float "
                          f"(p={p!r}, q={q!r}, b={b!r})") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc} (n={n!r}, p={p!r}, q={q!r}, b={b!r})") from None
     eps *= 1.0 - 1e-9  # keep the re-evaluated residual clear of rounding
     if not eps > 0.0:
         raise ValueError(f"eps underflows to {eps!r} (C_grad = {c_grad!r})")
 
     cert = GaussianCertificate(n=n, p=p, q=q, b=b, k=k, eps=eps, C_grad=c_grad,
                                residual_min=math.nan, verified=False,
-                               r_max=r_max, t_max=t_max,
-                               lattice_points=lattice_points)
-    lattice_grid = RadialGrid(n, r_max, lattice_points - 2)
-    times = np.linspace(0.0, t_max, lattice_points)
+                               r_max=_LATTICE_R_MAX, t_max=_LATTICE_T_MAX,
+                               lattice_points=_LATTICE_POINTS)
+    lattice_grid = RadialGrid(n, _LATTICE_R_MAX, _LATTICE_POINTS - 2)
+    times = np.linspace(0.0, _LATTICE_T_MAX, _LATTICE_POINTS)
     res_min = supersolution_residual(cert, times, lattice_grid)
     # beyond t_max both subtracted terms only decay (their t-exponents are
     # <= 0 by the choice of k); spot-check the minimum is not deteriorating
-    late = min(supersolution_residual(cert, [t_max * 2.0], lattice_grid),
-               supersolution_residual(cert, [t_max * 4.0], lattice_grid))
+    late = supersolution_residual(cert, [_LATTICE_T_MAX * 2.0, _LATTICE_T_MAX * 4.0],
+                                  lattice_grid)
     # written so that a NaN residual fails too
     if not (res_min >= 0.0 and late >= 0.0):
         raise ValueError(f"supersolution residual is negative on the lattice "
@@ -312,11 +298,14 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
     Requires n >= 3, p > n/(n-2) and q > n/(n-1) (otherwise the admissible
     k-window is empty).  k sits at the window midpoint; eps is bisected so
     the decay margin stays 25% clear of zero, absorbing the grid evaluation
-    of h > 0; an explicit eps is accepted as long as its margin is negative.
+    of h > 0; an explicit eps is accepted as long as it is finite and > 0
+    and its margin is negative.
     """
     p, q, b = float(p), float(q), float(b)
     if not all(map(math.isfinite, (p, q, b))):
         raise ValueError(f"need finite p, q, b; got p={p!r}, q={q!r}, b={b!r}")
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     if n < 3:
         raise ValueError("stationary certificate needs n >= 3 (empty k-window)")
     if not p > n / (n - 2):
@@ -337,6 +326,8 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
         margin = decay + eps ** (p - 1.0) + 2.0 ** q * b * eps ** (q - 1.0)
     except OverflowError:
         raise ValueError(f"the margin overflows a float (p={p!r}, q={q!r}, b={b!r})") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc} (n={n!r}, p={p!r}, q={q!r}, b={b!r})") from None
     if not margin < 0.0:
         raise ValueError(f"margin {margin:.6g} is not negative; eps too large")
     if grid is None:
@@ -397,14 +388,10 @@ def rate_exponents(n: int, p: float, q: float) -> RateExponents:
 # Rescaled test-function evaluation on a stored trajectory
 # ---------------------------------------------------------------------------
 
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
 def time_cutoff(sigma: np.ndarray) -> np.ndarray:
     """C^2 cutoff: 1 on [0, 1], 0 beyond 2, quintic-smooth in between."""
-    return _smoothstep(2.0 - np.asarray(sigma, dtype=float))
+    x = np.clip(2.0 - np.asarray(sigma, dtype=float), 0.0, 1.0)
+    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
 def space_cutoff(z: np.ndarray) -> np.ndarray:
@@ -430,12 +417,13 @@ def testfunction_scaling(trajectory: List[Tuple[float, Field]],
     if not trajectory:
         raise ValueError("empty trajectory")
     t_last = trajectory[-1][0]
-    p, q, b = float(params.p), float(params.q), float(params.b)
+    p, q = float(params.p), float(params.q)
     for tau in tau_list:
         if 2.0 * tau > t_last * (1.0 + 1e-12):
             raise ValueError(f"tau = {tau} needs the trajectory up to 2 tau = {2 * tau}, "
                              f"but it ends at {t_last}")
     u0 = trajectory[0][1]
+    reaction = Reaction(u0.grid, [params])
     lhs_values = []
     for tau in tau_list:
         xi_pow = space_cutoff(u0.grid.nodes / tau ** r_exp) ** (q / (q - 1.0))
@@ -445,20 +433,12 @@ def testfunction_scaling(trajectory: List[Tuple[float, Field]],
             w = float(time_cutoff(np.array(t / tau))) ** (p / (p - 1.0))
             if w == 0.0 and t > 2.0 * tau:
                 break
-            dens = np.zeros_like(u.values)
-            if params.use_source:
-                dens += np.abs(u.values) ** p
-            if params.use_gradient and b != 0:
-                dens += b * gradient_magnitude(u).values ** q
+            dens = reaction(u.values[None])[0]
             spatial.append(w * integrate(Field(u.grid, dens * xi_pow)))
             times.append(t)
-        times_arr = np.asarray(times)
-        spatial_arr = np.asarray(spatial)
-        if len(times) > 1:
-            bulk = float(np.sum(0.5 * (spatial_arr[1:] + spatial_arr[:-1])
-                                * np.diff(times_arr)))
-        else:
-            bulk = 0.0
+        # trapezoid in t; 0 for a single snapshot
+        spatial, times = np.asarray(spatial), np.asarray(times)
+        bulk = float(np.sum(0.5 * (spatial[1:] + spatial[:-1]) * np.diff(times)))
         initial = integrate(Field(u0.grid, u0.values * xi_pow))
         lhs_values.append(bulk + initial)
 

@@ -192,10 +192,16 @@ def parse_scenario(doc: dict):
             kw[key] = float(_field(sv, key, Real, "solve"))
     if "trace_stride" in sv:
         kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
-    # the Kaplan ball spans at least one grid cell and lies inside B_L
-    if "kaplan_R" in kw and not grid.h_r <= kw["kaplan_R"] <= grid.L:
-        raise ConfigError(f"solve.kaplan_R: expected grid.L/(grid.M+1) = {grid.h_r!r} "
-                          f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
+    # the Kaplan ball spans at least one grid cell, lies inside B_L and,
+    # like B_L, is a ball the grid can integrate on
+    if "kaplan_R" in kw:
+        if not grid.h_r <= kw["kaplan_R"] <= grid.L:
+            raise ConfigError(f"solve.kaplan_R: expected grid.L/(grid.M+1) = {grid.h_r!r} "
+                              f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
+        try:
+            RadialGrid(params.n, kw["kaplan_R"], 2)
+        except ValueError as exc:
+            raise ConfigError(f"solve.kaplan_R: {exc}") from None
 
     profile = _parse_profile(profile_doc)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -28,12 +29,20 @@ class RadialGrid:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be an integer >= 1, got {self.n!r}")
         try:
-            sphere_area(self.n)
+            area = sphere_area(self.n)
         except OverflowError:
             raise ValueError(f"dimension n={self.n!r} is too large: the area of the "
                              f"unit sphere overflows a float") from None
         if not self.L > 0:
             raise ValueError(f"truncation radius L must be > 0, got {self.L!r}")
+        # integrate weights by r^(n-1): the ball's scale must be a normal float
+        try:
+            scale = area * float(self.L) ** self.n
+        except OverflowError:
+            scale = math.inf
+        if not sys.float_info.min <= scale <= sys.float_info.max:
+            raise ValueError(f"the ball of radius L={self.L!r} in dimension n={self.n!r} "
+                             f"is out of float range: sphere_area(n) * L**n = {scale!r}")
         if self.M < 2:
             raise ValueError(f"need at least 2 interior nodes, got M={self.M!r}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.L, self.M + 2))

@@ -198,14 +198,14 @@ class Eigenpair:
     R: float
 
 
-def principal_eigenpair(n: int, R: float, M: int,
-                        tol: float = 1e-14, max_iter: int = 500) -> Eigenpair:
+def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
     """Smallest Dirichlet eigenvalue/eigenfunction by inverse power iteration.
 
     Solves the radial problem -(phi'' + (n-1)/r phi') = lam phi, phi(R) = 0,
     phi'(0) = 0 on the discrete Laplacian.  Iterates until the eigenvalue
-    estimate stagnates or ``max_iter`` runs out, then demands the residual
-    |Lap phi + lam phi| stay below 1e-6 max(1, lam) of phi's sup norm.
+    estimate changes by at most 1e-14 relative twice in a row, or for 500
+    iterations, then demands the residual |Lap phi + lam phi| stay below
+    1e-6 max(1, lam) of phi's sup norm.
     """
     if M < 100:
         raise ValueError("eigenpair grid needs M >= 100")
@@ -219,13 +219,13 @@ def principal_eigenpair(n: int, R: float, M: int,
     lam_prev = np.inf
     lam = np.nan
     stagnant = 0
-    for _ in range(max_iter):
+    for _ in range(500):
         y = banded_lu_solve(lu, x)
         y /= np.linalg.norm(y)
         by = _banded_matvec(neg, y)
         lam = float(y @ by)
         x = y
-        stagnant = stagnant + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
+        stagnant = stagnant + 1 if abs(lam - lam_prev) <= 1e-14 * abs(lam) else 0
         if stagnant >= 2:
             break
         lam_prev = lam
@@ -234,7 +234,7 @@ def principal_eigenpair(n: int, R: float, M: int,
                       / (np.max(np.abs(x)) * max(1.0, lam)))
     if not resid_rel <= 1e-6:  # a NaN residual fails too
         raise RuntimeError(f"eigenpair iteration did not converge "
-                           f"({max_iter} iterations, residual {resid_rel:.2e})")
+                           f"(500 iterations, residual {resid_rel:.2e})")
 
     if x[0] < 0:
         x = -x

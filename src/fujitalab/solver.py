@@ -137,13 +137,13 @@ class ImexStepper:
         return banded_lu_solve(self._lu, b)
 
 
-def step(u: Field, dt: float, params: ProblemParams, h: Optional[Field] = None,
-         theta: float = 1.0) -> Field:
-    """One IMEX theta step; the boundary value of u is held fixed."""
+def step(u: Field, dt: float, params: ProblemParams) -> Field:
+    """One implicit-Euler (theta = 1) IMEX step of the unforced problem;
+    the boundary value of u is held fixed."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("cannot step a non-finite field")
-    block = _step(ImexStepper(u.grid, theta), u.values[None], dt,
-                  Reaction(u.grid, [params], h))
+    block = _step(ImexStepper(u.grid, 1.0), u.values[None], dt,
+                  Reaction(u.grid, [params]))
     return Field(u.grid, block[0])
 
 
@@ -348,16 +348,16 @@ def _increasing_suffix(trace: List[TraceRecord]) -> List[Tuple[float, float]]:
     return sups[k:]
 
 
-def detect_blowup(trace: List[TraceRecord], p: float,
-                  max_window: int = 40) -> Optional[Tuple[float, float]]:
+def detect_blowup(trace: List[TraceRecord], p: float) -> Optional[Tuple[float, float]]:
     """Estimate the blow-up time from the tail of a growing trace.
 
     Fits sup_u(t) ~ C (T - t)^(-1/(p-1)) by linear least squares on
     z = sup_u^(1-p) (the fit form is a heuristic extrapolation device
     borrowed from the pure-power equation, not a proved rate).  The fit
-    window is the growing tail spanning the last three decades of sup_u, so
-    the abscissas are spread over the asymptotic regime.  Returns
-    (T, residual); None when the trace does not show super-threshold growth.
+    window is the growing tail spanning the last three decades of sup_u, at
+    most its last 40 records, so the abscissas are spread over the
+    asymptotic regime.  Returns (T, residual); None when the trace does not
+    show super-threshold growth.
     """
     suffix = _increasing_suffix(trace)
     if len(suffix) < 8:
@@ -371,7 +371,7 @@ def detect_blowup(trace: List[TraceRecord], p: float,
             if 0.0 < s ** (1.0 - p) <= 1e3 * z_last]
     if len(tail) < 8:
         tail = suffix[-8:]
-    tail = tail[-max_window:]
+    tail = tail[-40:]
     ts = np.array([t for t, _ in tail])
     zs = np.array([s ** (1.0 - p) for _, s in tail])
     t_bar = float(ts.mean())  # centering keeps the fit conditioned near blow-up
@@ -397,18 +397,17 @@ def heat_reference(t: float, grid: RadialGrid) -> Field:
     return Field(grid, s ** (-grid.n / 2.0) * np.exp(-r * r / (4.0 * s)))
 
 
-def measure_plateau(trace: List[TraceRecord],
-                    tail_fraction: float = 0.25) -> Tuple[float, float]:
-    """Empirical plateau value from the tail of a trace.
+def measure_plateau(trace: List[TraceRecord]) -> Tuple[float, float]:
+    """Empirical plateau value from the last quarter of a trace's time span.
 
-    Returns (ell_hat, relative drift over the tail); a small drift means the
+    Returns (ell_hat, relative drift over that tail); a small drift means the
     run has settled.  Used to feed the Kaplan radius selection, since the
     theory provides the limit but no rate.
     """
     if len(trace) < 4:
         raise ValueError("trace too short to measure a plateau")
     t_end = trace[-1].t
-    t_cut = t_end * (1.0 - tail_fraction)
+    t_cut = t_end * 0.75
     tail = [rec for rec in trace if rec.t >= t_cut]
     if len(tail) < 2:
         tail = trace[-2:]

@@ -6,9 +6,10 @@ from scipy.integrate import solve_ivp
 
 from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
                                     constructed_forcing, gaussian_certificate,
-                                    gaussian_supersolution, kaplan_functional,
-                                    kaplan_radius, ode_comparison,
-                                    rate_exponents, stationary_certificate,
+                                    gaussian_supersolution, gradient_constant,
+                                    kaplan_functional, kaplan_radius,
+                                    ode_comparison, rate_exponents,
+                                    stationary_certificate,
                                     supersolution_residual, time_cutoff,
                                     space_cutoff)
 from fujitalab.certificates import testfunction_scaling as scaling_report
@@ -127,6 +128,30 @@ def test_gaussian_certificate_reference_point():
     assert cert.eps >= 0.2  # the round amplitude 0.2 is admissible
     assert cert.eps ** 3 + cert.C_grad * cert.eps <= cert.k
     assert cert.verified and cert.residual_min >= 0.0
+
+
+@pytest.mark.parametrize("q", [1.001, 1.01, 1.1, 1.4, 1.6, 2.0, 3.0, 7.5, 30.0, 120.0, 300.0])
+def test_gradient_constant_is_the_sampled_maximum(q):
+    # max_{s>=0} s^q e^(-(q-1)s^2/4) sampled densely: on a coarse grid over
+    # [0, 50] (the maximizer is below 45 for q >= 1.001), then on a fine
+    # grid between the neighbours of the coarse argmax
+    def f(s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return s ** q * np.exp(-(q - 1.0) * s * s / 4.0)
+    coarse = np.linspace(0.0, 50.0, 200_001)
+    i = int(np.nanargmax(f(coarse)))
+    fine = np.linspace(coarse[i - 1], coarse[i + 1], 200_001)
+    b = 0.7
+    sampled = b * 2.0 ** (-q) * float(np.max(f(fine)))
+    assert gradient_constant(q, b) == pytest.approx(sampled, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, q", [(40, 1.03), (10, 1.1), (3, 1.3), (1, 1.6), (1, 2.0),
+                                  (2, 30.0), (1, 300.0)])
+def test_gaussian_certificate_uses_the_gradient_constant(n, q):
+    cert = gaussian_certificate(n, 4.0, q, 0.7)
+    assert cert.verified
+    assert cert.C_grad == gradient_constant(q, 0.7)
 
 
 def test_gaussian_certificate_bounds_hold():

@@ -178,8 +178,13 @@ def test_certify_refused_regime(capsys):
     ["--n", "1", "--p", "4", "--q", "1e6"],
     ["--n", "3", "--p", "inf", "--q", "2", "--kind", "stationary"],
     ["--n", "3", "--p", "4", "--q", "1e6", "--kind", "stationary"],
+    ["--n", "343", "--p", "1.02", "--q", "1.01"],
+    ["--n", "343", "--p", "1.02", "--q", "1.01", "--kind", "stationary"],
+    ["--n", "3", "--p", "4.5", "--q", "2", "--kind", "stationary", "--eps", "-0.01"],
 ], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows",
-        "stationary-p-inf", "stationary-q-huge-margin-overflows"])
+        "stationary-p-inf", "stationary-q-huge-margin-overflows",
+        "eps-bracket-does-not-close", "stationary-eps-bracket-does-not-close",
+        "stationary-eps-negative"])
 def test_certify_refuses_a_certificate_it_cannot_verify(capsys, argv):
     # argparse keeps the last --kind
     assert main(["certify", "--kind", "gaussian"] + argv) == 2
@@ -280,10 +285,13 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--b", "1e300"), ("--q-range", "1e6 1e6")],
-                         ids=["b-huge-eps-underflows", "q-huge-C_grad-overflows"])
+@pytest.mark.parametrize("extra", [
+    ["--b", "1e300"],
+    ["--q-range", "1e6", "1e6"],
+    ["--n", "285", "--p-range", "1.02", "1.02", "--q-range", "1.01", "1.01"],
+], ids=["b-huge-eps-underflows", "q-huge-C_grad-overflows", "eps-bracket-does-not-close"])
 def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
-        tmp_path, monkeypatch, flag, value):
+        tmp_path, monkeypatch, extra):
     columns = []
     real = cli.run_batch
 
@@ -295,7 +303,7 @@ def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
     out = tmp_path / "scan"
     assert main(["scan", "--n", "1", "--p-range", "4", "4", "--q-range", "1.6", "1.6",
                  "--steps", "1", "--budget", "1.0", "--grid-m", "50",
-                 flag, *value.split(), "--out", str(out)]) == 0
+                 *extra, "--out", str(out)]) == 0
     (row,) = json.loads((out / "scan.json").read_text())["points"]
     assert row["verdict_theory"] == "GlobalForSmallData"
     assert row["verdict_numeric"] == "unresolved"
@@ -331,6 +339,36 @@ def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
     doc["problem"]["n"] = 1000  # Gamma(n/2) overflows a float from n = 344 on
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
     assert "dimension n=1000" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("L, kaplan_R, key", [(12.0, None, "radius L=12.0"),
+                                              (3.0, 0.05, "kaplan_R")],
+                         ids=["ball-overflows", "kaplan-ball-underflows"])
+def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, L, kaplan_R, key):
+    # the quadrature weight sphere_area(n) r^(n-1) leaves the float range:
+    # 12^300 overflows, 0.05^300 underflows
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["problem"]["n"] = 300
+    doc["grid"] = {"L": L, "M": 400}
+    doc["solve"] = {"t_end": 1e-3}
+    if kaplan_R is not None:
+        doc["solve"]["kaplan_R"] = kaplan_R
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "out of float range" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("eps", [-0.01, 0.0], ids=["negative", "zero"])
+def test_run_refuses_a_stationary_forcing_whose_eps_is_not_positive(tmp_path, capsys, eps):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["problem"] = {"n": 3, "p": 4.5, "q": 2}
+    doc["forcing"] = {"kind": "constructed_stationary", "eps": eps}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert "eps must be finite and > 0" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -482,20 +520,33 @@ def _mostly(valid, odd):
 _cert_odd = st.one_of(st.floats(), st.sampled_from([1e6, 1e300, 1e308, 5e-324, 0.0, -1.0]))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_mostly(st.integers(1, 4), st.one_of(st.integers(-1, 0), st.integers(300, 10 ** 6))),
+# a stationary certificate draws no eps (it is bisected), a valid one, or an
+# odd one: zero, negative, non-finite or huge
+_stationary_eps = st.one_of(st.none(), st.floats(1e-4, 0.1),
+                            st.sampled_from([0.0, -0.0, -0.01, 5e-324, 1e300]), st.floats())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mostly(st.integers(1, 6), st.one_of(st.integers(-1, 0), st.integers(300, 10 ** 6))),
        _mostly(st.floats(3.01, 10.0), _cert_odd), _mostly(st.floats(1.51, 4.0), _cert_odd),
-       _mostly(st.floats(0.0, 3.0), _cert_odd))
-def test_certify_fuzz_verifies_or_refuses(n, p, q, b):
+       _mostly(st.floats(0.0, 3.0), _cert_odd),
+       st.one_of(st.just(("gaussian", None)), st.tuples(st.just("stationary"), _stationary_eps)))
+def test_certify_fuzz_verifies_or_refuses(n, p, q, b, kind_eps):
+    kind, eps = kind_eps
+    argv = ["certify", f"--kind={kind}", f"--n={n}", f"--p={p!r}", f"--q={q!r}", f"--b={b!r}"]
+    if eps is not None:
+        argv.append(f"--eps={eps!r}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["certify", "--kind", "gaussian", f"--n={n}",
-                     f"--p={p!r}", f"--q={q!r}", f"--b={b!r}"])
+        code = main(argv)
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("certificate refused: ")
         return
     doc = json.loads(out.getvalue())
     assert doc["verified"] is True
-    assert math.isfinite(doc["residual_min"]) and doc["residual_min"] >= 0.0
-    assert doc["eps"] > 0.0
+    assert doc["eps"] > 0.0 and math.isfinite(doc["eps"])
+    if kind == "gaussian":
+        assert math.isfinite(doc["residual_min"]) and doc["residual_min"] >= 0.0
+    else:
+        assert doc["margin"] < 0.0
