@@ -167,21 +167,17 @@ def supersolution_residual(cert: GaussianCertificate, times: Sequence[float],
     closed-form derivatives of z (no finite differences), so a nonnegative
     minimum is a genuine sign certificate up to scalar rounding:
 
-        residual = eps k (t+1)^(k-1) phi - eps^p (t+1)^(kp) phi^p
-                   - b eps^q (t+1)^(kq) (r / (2(t+1)))^q phi^q,
+        residual = k z / (t+1) - z^p - b (z r / (2(t+1)))^q,
 
-    with phi = (t+1)^(-n/2) e^(-r^2/(4(t+1))) the heat kernel profile,
-    whose own heat equation removes the z_t - Lap z bulk.
+    with z = eps (t+1)^(k - n/2) e^(-r^2/(4(t+1))); the heat kernel factor of
+    z removes the z_t - Lap z bulk.  Written in z, no factor overflows where
+    z itself is small (for large n or p).
     """
     t = np.asarray(list(times), dtype=float)[:, None]
     r = grid.nodes[None, :]
-    n, p, q, b = cert.n, cert.p, cert.q, cert.b
-    k, eps = cert.k, cert.eps
     s = t + 1.0
-    phi = s ** (-n / 2.0) * np.exp(-r * r / (4.0 * s))
-    res = eps * k * s ** (k - 1.0) * phi \
-        - eps ** p * s ** (k * p) * phi ** p \
-        - b * eps ** q * s ** (k * q) * (r / (2.0 * s)) ** q * phi ** q
+    z = cert.eps * s ** (cert.k - cert.n / 2.0) * np.exp(-r * r / (4.0 * s))
+    res = cert.k * z / s - z ** cert.p - cert.b * (z * r / (2.0 * s)) ** cert.q
     return float(res.min())
 
 
@@ -242,9 +238,10 @@ def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertif
     late = supersolution_residual(cert, [_LATTICE_T_MAX * 2.0, _LATTICE_T_MAX * 4.0],
                                   lattice_grid)
     # written so that a NaN residual fails too
-    if not (res_min >= 0.0 and late >= 0.0):
-        raise ValueError(f"supersolution residual is negative on the lattice "
-                         f"(min {min(res_min, late):.3e}); certificate refused")
+    for value in (res_min, late):
+        if not value >= 0.0:
+            raise ValueError(f"supersolution residual is negative on the lattice "
+                             f"(min {value:.3e}); certificate refused")
     return dataclasses.replace(cert, residual_min=res_min, verified=True)
 
 

@@ -2,8 +2,8 @@
 reference tables, with machine-readable CSV/JSON outputs.
 
 A scan confirms its certified-global points together in one lockstep
-``run_batch`` (a point whose step the batch would reject is re-run on its
-own) and each blow-up point with its own ``run``.  The batch and the
+``run_batch`` (a point whose step is rejected splits off and goes on from
+where it stood) and each blow-up point with its own ``run``.  The batch and the
 blow-up points are tasks on a thread pool capped by FUJITA_THREADS; rows
 are gathered and sorted by (p, q), so outputs are byte-identical across
 thread counts.
@@ -253,14 +253,14 @@ def cmd_run(args) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     u0 = sample_profile(profile, grid)
     if forcing.kind != "constructed_stationary":
         u0.values[-1] = 0.0  # Dirichlet truncation
 
     outcome = run(params, u0, h, config)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "trace.csv").write_text(trace_to_csv(outcome.trace), encoding="utf-8")
     (out / "final_field.csv").write_text(field_to_csv(outcome.final_field), encoding="utf-8")
 
@@ -352,9 +352,9 @@ def _scan_global_points(n: int, points, b: float, grid_m: int,
                         budget: float) -> list:
     """The scan rows of certified-global points, confirmed together by one
     ``run_batch`` from the data 0.9 z(0) that each point's gaussian
-    certificate z dominates (a point whose step the batch would reject is
-    re-run on its own).  A point whose certificate is refused stays
-    unresolved and is not run."""
+    certificate z dominates (a point whose step is rejected splits off from
+    the others and goes on from where it stood).  A point whose certificate
+    is refused stays unresolved and is not run."""
     grid = RadialGrid(n, 12.0, grid_m)
     config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
                          dt_max=5e-3, trace_stride=20, store_fields=True)
@@ -448,6 +448,8 @@ def cmd_scan(args) -> int:
     for p, q in points:
         verdict = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b)).verdict
         (blowup_points if verdict is Verdict.BLOW_UP_ALL else global_points).append((p, q))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     workers = max(1, _thread_count())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the batch of global points, the longest task, is queued first
@@ -457,9 +459,6 @@ def cmd_scan(args) -> int:
                                args.budget) for p, q in blowup_points]
         results = batch.result() + [f.result() for f in singles]
     results.sort(key=lambda row: (row["p"], row["q"]))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "scan.csv").write_text(scan_csv(results), encoding="utf-8")
     doc = {
         "schema": SCHEMA_VERSION,
@@ -559,7 +558,11 @@ def main(argv=None) -> int:
     p_table.set_defaults(func=cmd_table)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,13 +10,11 @@ and dt sits at dt_max for long stretches of a settled run, so an
 ``ImexStepper`` keeps the LU factors of the last dt and refactors only when
 dt changes.  The solve from kept factors is bit-identical to refactoring.
 
-The step kernel ``_step`` advances a (K, M+2) block of fields, one field
-per row, with one multi-column solve.  ``run_batch`` holds the one adaptive
-loop: it carries problems that differ only in p and q in lockstep, ends a
-column that reaches the blow-up threshold in place, and hands a column
-whose step would be rejected back to ``run`` unless it is the last one
-left, so its outcomes are bit-identical to per-problem runs.  ``run`` is
-``run_batch`` with one column.
+``_step`` advances a (K, M+2) block of fields, one per row, with one
+multi-column solve.  ``run_batch`` holds the one adaptive loop: it steps
+problems that differ only in p and q in lockstep and splits off the
+columns whose step is rejected, so each column has one history, bit for
+bit its lone run's.  ``run`` is ``run_batch`` with one column.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -26,11 +24,12 @@ supersolution certificate does.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
@@ -198,38 +197,31 @@ def _kaplan_pair(grid: RadialGrid, config: SolveConfig) -> Optional[Eigenpair]:
     return principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))
 
 
-def _finish(status: SolveStatus, params: ProblemParams, trace: List[TraceRecord],
-            snapshots: Optional[List[Tuple[float, Field]]], t: float, dt: float,
-            u: Field, pair: Optional[Eigenpair]) -> SolveOutcome:
+def _finish(status: Optional[SolveStatus], params: ProblemParams,
+            trace: List[TraceRecord], snapshots: Optional[List[Tuple[float, Field]]],
+            t: float, dt: float, u: Field, pair: Optional[Eigenpair]) -> SolveOutcome:
     """Close a run at time t: a last record if the trace stops short of t,
     the blow-up time fit when the status is BlowUp, the stall time when it
-    is StepFloorStall."""
+    is StepFloorStall.  Status None (dt below the step floor under the
+    threshold) is BlowUp if sup^(1-p) contracted by 3 decades over the
+    growing tail and a blow-up time fit exists, else StepFloorStall."""
     if trace[-1].t < t:
         _observe(trace, snapshots, t, dt, u, pair)
-    out = SolveOutcome(status=status, trace=trace, final_field=u,
-                       snapshots=snapshots)
+    p = float(params.p)
+    est = None if status is SolveStatus.REACHED_HORIZON else detect_blowup(trace, p)
+    if status is None:
+        suffix = _increasing_suffix(trace)
+        blew = (est is not None and len(suffix) >= 2 and suffix[0][1] > 0
+                and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0)
+        status = SolveStatus.BLOW_UP if blew else SolveStatus.STEP_FLOOR_STALL
+    out = SolveOutcome(status=status, trace=trace, final_field=u, snapshots=snapshots)
     if status is SolveStatus.BLOW_UP:
-        est = detect_blowup(trace, float(params.p))
         if est is not None:
             out.t_star_estimate, out.fit_quality = est
         out.t_last_finite = t
     elif status is SolveStatus.STEP_FLOOR_STALL:
         out.t_stall = t
     return out
-
-
-def _before_horizon(t: float, config: SolveConfig) -> bool:
-    return t < config.t_end - 1e-14 * max(1.0, config.t_end)
-
-
-def _growth_signature(trace: List[TraceRecord], p: float) -> bool:
-    """Whether a trace whose dt collapsed below the blow-up threshold still
-    certifies blow-up: the remaining-time proxy sup^(1-p) contracted by at
-    least 3 decades over the growing tail, and a blow-up time fit exists."""
-    suffix = _increasing_suffix(trace)
-    return (len(suffix) >= 2 and suffix[0][1] > 0
-            and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0
-            and detect_blowup(trace, p) is not None)
 
 
 def run(params: ProblemParams, u0: Field, h: Optional[Field],
@@ -239,19 +231,36 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
     return run_batch([params], [u0], config, h)[0]
 
 
+@dataclass
+class _Block:
+    """Batch columns whose lone runs are in one state: the same t, dt,
+    halving count and accepted-step count, so they step as one block."""
+    cols: Tuple[int, ...]
+    v: np.ndarray
+    sup: List[float]  # per-row sup |u| as Python floats, cheap to decide on
+    t: float
+    dt: float
+    halvings: int = 0
+    accepted: int = 0
+
+    def take(self, rows: List[int]) -> _Block:
+        """These rows, in the same state."""
+        return replace(self, cols=tuple(self.cols[r] for r in rows), v=self.v[rows],
+                       sup=[self.sup[r] for r in rows])
+
+
 def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
               config: SolveConfig, h: Optional[Field] = None) -> List[SolveOutcome]:
     """``run`` for problems that differ only in p and q, advanced in
     lockstep; returns one outcome per problem, in order.
 
-    While every step is accepted, the lone runs of these problems take the
-    same t and dt, so the batch advances one (K, M+2) block per step: one
-    reaction assembly and one multi-column solve from the shared factors.
-    A column's fate is the one its lone run decides in the same state: a sup
-    at ``blowup_threshold`` after an accepted step ends it in BlowUp, and a
-    rejected step (non-finite, or growth above ``growth_cap``) sends it to
-    ``run`` from u0, unless it is the last column left, which halves dt in
-    place.  So every outcome equals its lone ``run``'s, bit for bit.
+    A block of columns whose lone runs are in one state advances as one
+    (K, M+2) array per step: one reaction assembly and one multi-column
+    solve.  A sup at ``blowup_threshold`` after an accepted step ends a
+    column in BlowUp; the columns whose step is rejected (non-finite, or
+    growth above ``growth_cap``) split off as a block that resumes from the
+    pre-step state with dt halved.  Rows are computed independently, so each
+    column has one history, bit for bit its lone ``run``'s.
     """
     if len(params_list) != len(u0s):
         raise ValueError("run_batch needs one initial field per problem")
@@ -263,80 +272,70 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     if h is not None and h.grid != grid:
         raise ValueError("forcing and initial data live on different grids")
     stepper = ImexStepper(grid, config.theta_scheme)
-    reaction = Reaction(grid, params_list, h)
     pair = _kaplan_pair(grid, config)
-
-    live = list(range(len(u0s)))
-    v = np.stack([u.values for u in u0s])
-    # the per-column decisions are taken on Python floats, which is cheaper
-    # than on small arrays
-    sup = np.max(np.abs(v), axis=1).tolist()
-    t = 0.0
-    dt = config.dt_init
-    halvings = accepted = 0
-    traces: List[List[TraceRecord]] = [[] for _ in live]
-    snapshots = [[] if config.store_fields else None for _ in live]
-    for k in live:
-        _observe(traces[k], snapshots[k], t, dt, u0s[k], pair)
+    threshold = config.blowup_threshold
+    t_stop = config.t_end - 1e-14 * max(1.0, config.t_end)
+    traces: List[List[TraceRecord]] = [[] for _ in u0s]
+    snapshots = [[] if config.store_fields else None for _ in u0s]
+    for k, u in enumerate(u0s):
+        _observe(traces[k], snapshots[k], 0.0, config.dt_init, u, pair)
     outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
-    rerun = []
 
-    def leave(rows: List[int], status: Optional[SolveStatus]) -> None:
-        """Take these rows out of the block, finished with ``status`` or,
-        when it is None, to be re-run alone."""
-        nonlocal live, v, sup, reaction
-        for row in rows:
-            k = live[row]
-            if status is None:
-                rerun.append(k)
-            else:
-                outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
-                                      t, dt, Field(grid, v[row]), pair)
-        rest = [row for row in range(len(live)) if row not in rows]
-        live, v, sup = [live[r] for r in rest], v[rest], [sup[r] for r in rest]
-        if live:
-            reaction = Reaction(grid, [params_list[k] for k in live], h)
+    @functools.cache
+    def reaction(cols: Tuple[int, ...]) -> Reaction:
+        return Reaction(grid, [params_list[k] for k in cols], h)
 
-    while live and _before_horizon(t, config):
-        dt_try = min(dt, config.t_end - t)
-        candidate = _step(stepper, v, dt_try, reaction)
-        sup_new = np.max(np.abs(candidate), axis=1).tolist()
-        # NaN and inf fail the comparison, so an accepted column is finite
-        ok = [(s - s0) / max(s0, 1e-300) <= config.growth_cap
-              for s, s0 in zip(sup_new, sup)]
-        if not all(ok):
-            if len(live) > 1:
-                # rejected columns leave (the first stays if all are) and
-                # the rest retake the step: rows are computed independently
-                bad = [row for row, good in enumerate(ok) if not good]
-                leave(bad[1:] if len(bad) == len(live) else bad, None)
-                continue
-            halvings += 1
-            dt = dt / 2.0
-            at_threshold = sup[0] >= config.blowup_threshold
-            if dt < config.dt_min or (at_threshold and halvings >= 3):
-                k = live[0]
-                if traces[k][-1].t < t:
-                    _observe(traces[k], snapshots[k], t, dt, Field(grid, v[0]), pair)
-                blew = at_threshold or _growth_signature(traces[k], float(params_list[k].p))
-                leave([0], SolveStatus.BLOW_UP if blew else SolveStatus.STEP_FLOOR_STALL)
-            continue
-        v = candidate
-        sup = sup_new
-        t += dt_try
-        halvings = 0
-        accepted += 1
-        if accepted % config.trace_stride == 0:
-            for row, k in enumerate(live):
-                _observe(traces[k], snapshots[k], t, dt_try, Field(grid, v[row]), pair)
-        if max(sup) >= config.blowup_threshold:
-            leave([row for row, s in enumerate(sup) if s >= config.blowup_threshold],
-                  SolveStatus.BLOW_UP)
-        dt = min(dt * 1.2, config.dt_max)
+    def leave(b: _Block, ends: Dict[int, Optional[SolveStatus]]) -> _Block:
+        """End the rows in ``ends`` (None: at the step floor); return the rest."""
+        for row, status in ends.items():
+            k = b.cols[row]
+            outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
+                                  b.t, b.dt, Field(grid, b.v[row]), pair)
+        return b.take([row for row in range(len(b.cols)) if row not in ends]) if ends else b
 
-    leave(list(range(len(live))), SolveStatus.REACHED_HORIZON)
-    for k in rerun:
-        outcomes[k] = run(params_list[k], u0s[k], h, config)
+    v = np.stack([u.values for u in u0s])
+    blocks = [_Block(tuple(range(len(u0s))), v, np.max(np.abs(v), axis=1).tolist(),
+                     0.0, config.dt_init)]
+    while blocks:
+        b = blocks.pop()
+        while b.cols and b.t < t_stop:
+            dt_try = min(b.dt, config.t_end - b.t)
+            candidate = _step(stepper, b.v, dt_try, reaction(b.cols))
+            sup = np.max(np.abs(candidate), axis=1).tolist()
+            # NaN and inf fail the comparison, so an accepted column is finite
+            ok = [(s - s0) / max(s0, 1e-300) <= config.growth_cap
+                  for s, s0 in zip(sup, b.sup)]
+            if not all(ok):
+                # the rejected rows halve dt from the pre-step state, split off
+                # unless every row is rejected; a row stops below the step
+                # floor, or at the threshold after three halvings
+                good = [row for row, accept in enumerate(ok) if accept]
+                bad = [row for row, accept in enumerate(ok) if not accept]
+                rejected = b.take(bad) if good else b
+                rejected.dt /= 2.0
+                rejected.halvings += 1
+                rejected = leave(rejected, {
+                    row: SolveStatus.BLOW_UP if s0 >= threshold else None
+                    for row, s0 in enumerate(rejected.sup)
+                    if rejected.dt < config.dt_min
+                    or (s0 >= threshold and rejected.halvings >= 3)})
+                if not good:
+                    b = rejected
+                    continue
+                blocks.append(rejected)
+                b, candidate, sup = b.take(good), candidate[good], [sup[r] for r in good]
+            b.v, b.sup = candidate, sup
+            b.t += dt_try
+            b.halvings = 0
+            b.accepted += 1
+            if b.accepted % config.trace_stride == 0:
+                for row, k in enumerate(b.cols):
+                    _observe(traces[k], snapshots[k], b.t, dt_try,
+                             Field(grid, b.v[row]), pair)
+            if max(sup) >= threshold:
+                b = leave(b, {row: SolveStatus.BLOW_UP for row, s in enumerate(sup) if s >= threshold})
+            b.dt = min(b.dt * 1.2, config.dt_max)
+        leave(b, dict.fromkeys(range(len(b.cols)), SolveStatus.REACHED_HORIZON))
     return outcomes
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fujitalab import certificates
 from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
                                     constructed_forcing, gaussian_certificate,
                                     gaussian_supersolution, gradient_constant,
@@ -167,6 +168,24 @@ def test_gaussian_certificate_n2_example():
     cert = gaussian_certificate(2, 3, 1.5, 1)
     assert cert.k == pytest.approx(0.25, rel=1e-12)  # both bounds equal 1/2
     assert cert.verified and cert.residual_min >= 0.0
+
+
+@pytest.mark.parametrize("n, p, q, b", [(20, 50.0, 1.0952, 0.7), (150, 4.0, 2.0, 1.0),
+                                        (285, 4.0, 2.0, 1.0)])
+def test_gaussian_certificate_verifies_at_large_n_or_p(n, p, q, b):
+    # written as (t+1)^(kp) phi^p, the source term is inf * 0 at these points
+    cert = gaussian_certificate(n, p, q, b)
+    assert cert.verified
+    assert math.isfinite(cert.residual_min) and cert.residual_min >= 0.0
+
+
+def test_gaussian_certificate_refusal_names_the_failing_residual(monkeypatch):
+    # the lattice minimum passes, the late spot check is NaN
+    residuals = iter([1e-17, math.nan])
+    monkeypatch.setattr(certificates, "supersolution_residual",
+                        lambda cert, times, grid: next(residuals))
+    with pytest.raises(ValueError, match=r"\(min nan\)"):
+        gaussian_certificate(1, 4, 2, 1)
 
 
 def test_gaussian_certificate_refuses_bad_regime():

@@ -205,6 +205,27 @@ def test_table_cli(capsys):
     assert "1.5" in text
 
 
+@pytest.mark.parametrize("command", ["run", "certify", "scan", "table"])
+def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch,
+                                                       command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out"
+
+    def no_run(*args):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "run_batch", no_run)
+    argv = {"run": ["run", str(write_config(tmp_path, blowup_config(out)))],
+            "certify": ["certify", "--n", "1", "--p", "4", "--q", "2",
+                        "--kind", "gaussian", "--out", str(out / "cert.json")],
+            "scan": SCAN_2X2 + ["--out", str(out)],
+            "table": ["table", "--n", "3", "--json-out", str(out / "table.json")]}
+    assert main(argv[command]) == 2
+    assert "error: cannot write the output" in capsys.readouterr().err
+
+
 def test_scan_empty_range(tmp_path):
     out = tmp_path / "scan_empty"
     code = main(["scan", "--n", "1", "--p-range", "2", "3",

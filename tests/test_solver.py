@@ -313,7 +313,7 @@ def test_run_batch_columns_equal_run(n, forced):
         assert_same_outcome(got, run(prm, u0, h, cfg))
 
 
-def test_run_batch_falls_back_to_run_for_rejected_and_blown_up_columns(monkeypatch):
+def test_run_batch_splits_off_rejected_columns_without_rerunning_them(monkeypatch):
     g = RadialGrid(1, 12.0, 200)
     params = [ProblemParams(n=1, p=2, q=2), ProblemParams(n=1, p=4, q=2),
               ProblemParams(n=1, p=3, q=1.5)]
@@ -322,20 +322,51 @@ def test_run_batch_falls_back_to_run_for_rejected_and_blown_up_columns(monkeypat
     u0s = gaussian_data(g, [2.0, 0.05, 1.0])
     cfg = SolveConfig(t_end=3.0, dt_init=1e-3, dt_min=1e-10, dt_max=2e-2,
                       growth_cap=0.05, trace_stride=5, store_fields=True)
-    fallbacks = []
+    reruns = []
 
     def spy(prm, u0, h, config):
-        fallbacks.append(prm.p)
+        reruns.append(prm.p)
         return run(prm, u0, h, config)
 
     monkeypatch.setattr(solver, "run", spy)
     outcomes = run_batch(params, u0s, cfg)
-    assert fallbacks == [2, 3]
+    assert reruns == []
     assert [o.status for o in outcomes] == [SolveStatus.BLOW_UP,
                                             SolveStatus.REACHED_HORIZON,
                                             SolveStatus.BLOW_UP]
     for got, prm, u0 in zip(outcomes, params, u0s):
         assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_run_batch_columns_equal_run_on_mixed_batches(monkeypatch):
+    # tight growth caps and amplitudes over three decades make the columns
+    # of one batch part: some steps are rejected for a few columns only
+    parts = []
+    take = solver._Block.take
+
+    def spy(block, rows):
+        parts.append(0 < len(rows) < len(block.cols))
+        return take(block, rows)
+
+    monkeypatch.setattr(solver._Block, "take", spy)
+    rng = np.random.default_rng(8)
+    for case in range(6):
+        n = int(rng.integers(1, 4))
+        g = RadialGrid(n, 12.0, int(rng.integers(60, 160)))
+        size = int(rng.integers(3, 7))
+        params = [ProblemParams(n=n, p=float(rng.choice([2.0, rng.uniform(1.2, 6.0)])),
+                                q=float(rng.choice([1.0, 2.0, rng.uniform(1.05, 3.0)])))
+                  for _ in range(size)]
+        u0s = gaussian_data(g, 10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0), size))
+        h = sample_profile(ProfileSpec.gaussian(0.01), g) if case % 2 else None
+        cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_min=1e-8, dt_max=1e-2,
+                          growth_cap=float(rng.choice([0.02, 0.05, 0.2])),
+                          theta_scheme=float(rng.choice([1.0, 0.5])),
+                          trace_stride=int(rng.integers(1, 6)),
+                          kaplan_R=3.0 if case % 3 == 0 else None, store_fields=True)
+        for got, prm, u0 in zip(run_batch(params, u0s, cfg, h), params, u0s):
+            assert_same_outcome(got, run(prm, u0, h, cfg))
+    assert any(parts)
 
 
 def test_run_batch_ends_a_column_at_the_blowup_threshold_in_place(monkeypatch):
