@@ -27,7 +27,7 @@ from .certificates import (ForcingSpec, certificate_to_json,
                            stationary_certificate)
 from .core import (ProblemParams, Verdict, classify_positive,
                    critical_exponents)
-from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
+from .grid import Field, ProfileSpec, RadialGrid, _integrate_rows, field_to_csv, sample_profile
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
                      trace_to_csv)
@@ -204,15 +204,19 @@ def parse_scenario(doc: dict):
             raise ConfigError(f"solve.kaplan_R: {exc}") from None
 
     profile = _parse_profile(profile_doc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(profile.evaluate(grid.nodes))):
-            raise ConfigError("profile: not finite on the grid (the parts overflow)")
-
     _check_keys(out, {"dir", "stride"}, "output")
     out_dir = _field(out, "dir", str, "output", "out")
     if "stride" in out:
         kw["trace_stride"] = _field(out, "stride", int, "output")
     config = SolveConfig(**kw)
+    # every recorded sup is <= v_max (NaN for a non-finite profile), so these bound the trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup0 = float(np.max(np.abs(profile.evaluate(grid.nodes))))
+        v_max = float(np.maximum(sup0, config.blowup_threshold)) * (1.0 + config.growth_cap)
+        bounds = [_integrate_rows(np.full(grid.M + 2, v_max), grid), 8.0 * v_max / (2.0 * grid.h_r)]
+    if not np.all(np.isfinite(bounds)):
+        raise ConfigError(f"profile: a run may record a sup of max({sup0!r}, blowup_threshold) "
+                          f"* (1 + growth_cap) = {v_max!r}, whose trace is out of float range")
     return params, grid, config, profile, forcing, out_dir
 
 
@@ -298,12 +302,11 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         print(f"certificate refused: {exc}", file=sys.stderr)
         return 2
-    doc = certificate_to_json(cert)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+    text = json.dumps(certificate_to_json(cert), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 
@@ -506,13 +509,13 @@ def cmd_table(args) -> int:
         ("q* = n/(n-1)", shown(crit.q_star),
          "forced problem: blow-up for q < q* with positive-mass forcing"),
     ]
-    doc = {"schema": SCHEMA_VERSION, "n": args.n, "rows": []}
-    for name, shown_value, meaning in rows:
-        doc["rows"].append({"name": name, "value": shown_value, "governs": meaning})
-        print(f"{name:26s} {shown_value:44s} {meaning}")
     if args.json_out:
+        doc = {"schema": SCHEMA_VERSION, "n": args.n, "rows": [
+            {"name": name, "value": value, "governs": meaning} for name, value, meaning in rows]}
         Path(args.json_out).write_text(json.dumps(doc, indent=2, sort_keys=True),
                                        encoding="utf-8")
+    for name, shown_value, meaning in rows:
+        print(f"{name:26s} {shown_value:44s} {meaning}")
     return 0
 
 

@@ -24,6 +24,7 @@ class RadialGrid:
     L: float = 12.0
     M: int = 1200
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)  # r^(n-1)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -46,6 +47,7 @@ class RadialGrid:
         if self.M < 2:
             raise ValueError(f"need at least 2 interior nodes, got M={self.M!r}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.L, self.M + 2))
+        object.__setattr__(self, "weights", self.nodes ** (self.n - 1))
 
     @property
     def h_r(self) -> float:
@@ -80,11 +82,14 @@ def integrate(f: Field) -> float:
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("cannot integrate a non-finite field")
-    g = f.grid
-    r = g.nodes
-    w = f.values * r ** (g.n - 1)
-    inner = g.h_r * (0.5 * w[0] + w[1:-1].sum() + 0.5 * w[-1])
-    return float(sphere_area(g.n) * inner)
+    return float(_integrate_rows(f.values, f.grid))
+
+
+def _integrate_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
+    """``integrate`` along the last axis of v (one field per row), unchecked."""
+    w = v * g.weights
+    inner = g.h_r * (0.5 * w[..., 0] + w[..., 1:-1].sum(axis=-1) + 0.5 * w[..., -1])
+    return sphere_area(g.n) * inner
 
 
 def sup_norm(f: Field) -> float:

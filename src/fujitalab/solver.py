@@ -11,10 +11,12 @@ and dt sits at dt_max for long stretches of a settled run, so an
 dt changes.  The solve from kept factors is bit-identical to refactoring.
 
 ``_step`` advances a (K, M+2) block of fields, one per row, with one
-multi-column solve.  ``run_batch`` holds the one adaptive loop: it steps
-problems that differ only in p and q in lockstep and splits off the
-columns whose step is rejected, so each column has one history, bit for
-bit its lone run's.  ``run`` is ``run_batch`` with one column.
+multi-column solve; ``_record`` records a block with one reduction per
+monitored quantity.  ``run_batch`` holds the one adaptive loop and takes
+every trace record and snapshot: it steps problems that differ only in p
+and q in lockstep and splits off the columns whose step is rejected, so
+each column has one history, bit for bit its lone run's.  ``run`` is
+``run_batch`` with one column.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -37,9 +39,9 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .certificates import kaplan_functional
 from .core import ProblemParams
-from .grid import Field, RadialGrid, integrate
-from .operators import (BandedLU, Eigenpair, Reaction, _laplacian_rows,
-                        banded_lu, banded_lu_solve, gradient_magnitude,
+from .grid import Field, RadialGrid, _integrate_rows
+from .operators import (BandedLU, Eigenpair, Reaction, _gradient_rows,
+                        _laplacian_rows, banded_lu, banded_lu_solve,
                         laplacian_banded, principal_eigenpair)
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
 from .operators import rhs  # noqa: F401
@@ -167,47 +169,25 @@ def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
     return out
 
 
-def _record(t: float, dt: float, u: Field,
-            pair: Optional[Eigenpair]) -> TraceRecord:
-    v = u.values
-    y = kaplan_functional(u, pair) if pair is not None else None
-    return TraceRecord(
-        t=t, dt=dt,
-        sup_u=float(np.max(v)), inf_u=float(np.min(v)),
-        l1_u=integrate(Field(u.grid, np.abs(v))), mean_u=integrate(u),
-        sup_grad_u=float(np.max(gradient_magnitude(u).values)),
-        kaplan_y=y,
-    )
-
-
-def _observe(trace: List[TraceRecord],
-             snapshots: Optional[List[Tuple[float, Field]]],
-             t: float, dt: float, u: Field, pair: Optional[Eigenpair]) -> None:
-    """Append a trace record and, when fields are stored, a snapshot."""
-    trace.append(_record(t, dt, u, pair))
-    if snapshots is not None:
-        snapshots.append((t, u.copy()))
-
-
-def _kaplan_pair(grid: RadialGrid, config: SolveConfig) -> Optional[Eigenpair]:
-    if config.kaplan_R is None:
-        return None
-    if config.kaplan_R > grid.L:
-        raise ValueError("kaplan_R exceeds the truncation radius")
-    return principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))
+def _record(t: float, dt: float, v: np.ndarray, grid: RadialGrid,
+            pair: Optional[Eigenpair]) -> List[TraceRecord]:
+    """One trace record at time t per row of the finite (K, M+2) block v."""
+    ys = [None if pair is None else kaplan_functional(Field(grid, row), pair) for row in v]
+    return [TraceRecord(t, dt, *values) for values in zip(
+        np.max(v, axis=1).tolist(), np.min(v, axis=1).tolist(),
+        _integrate_rows(np.abs(v), grid).tolist(), _integrate_rows(v, grid).tolist(),
+        np.max(_gradient_rows(v, grid.h_r), axis=1).tolist(), ys)]
 
 
 def _finish(status: Optional[SolveStatus], params: ProblemParams,
             trace: List[TraceRecord], snapshots: Optional[List[Tuple[float, Field]]],
-            t: float, dt: float, u: Field, pair: Optional[Eigenpair]) -> SolveOutcome:
-    """Close a run at time t: a last record if the trace stops short of t,
-    the blow-up time fit when the status is BlowUp, the stall time when it
-    is StepFloorStall.  Status None (dt below the step floor under the
+            u: Field) -> SolveOutcome:
+    """Close a run at the time t of its last trace record: the blow-up time
+    fit when the status is BlowUp, the stall time when it is
+    StepFloorStall.  Status None (dt below the step floor under the
     threshold) is BlowUp if sup^(1-p) contracted by 3 decades over the
     growing tail and a blow-up time fit exists, else StepFloorStall."""
-    if trace[-1].t < t:
-        _observe(trace, snapshots, t, dt, u, pair)
-    p = float(params.p)
+    t, p = trace[-1].t, float(params.p)
     est = None if status is SolveStatus.REACHED_HORIZON else detect_blowup(trace, p)
     if status is None:
         suffix = _increasing_suffix(trace)
@@ -272,30 +252,44 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     if h is not None and h.grid != grid:
         raise ValueError("forcing and initial data live on different grids")
     stepper = ImexStepper(grid, config.theta_scheme)
-    pair = _kaplan_pair(grid, config)
+    if config.kaplan_R is not None and config.kaplan_R > grid.L:
+        raise ValueError("kaplan_R exceeds the truncation radius")
+    pair = (None if config.kaplan_R is None
+            else principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2)))
     threshold = config.blowup_threshold
     t_stop = config.t_end - 1e-14 * max(1.0, config.t_end)
+    v = np.stack([u.values for u in u0s])
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot run from non-finite initial data")
     traces: List[List[TraceRecord]] = [[] for _ in u0s]
     snapshots = [[] if config.store_fields else None for _ in u0s]
-    for k, u in enumerate(u0s):
-        _observe(traces[k], snapshots[k], 0.0, config.dt_init, u, pair)
     outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
 
     @functools.cache
     def reaction(cols: Tuple[int, ...]) -> Reaction:
         return Reaction(grid, [params_list[k] for k in cols], h)
 
+    def observe(b: _Block, dt: float) -> None:
+        """Append a trace record, and a snapshot if fields are stored, per row of b."""
+        for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, pair), b.v):
+            traces[k].append(rec)
+            if config.store_fields:
+                snapshots[k].append((b.t, Field(grid, row.copy())))
+
     def leave(b: _Block, ends: Dict[int, Optional[SolveStatus]]) -> _Block:
         """End the rows in ``ends`` (None: at the step floor); return the rest."""
-        for row, status in ends.items():
-            k = b.cols[row]
-            outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
-                                  b.t, b.dt, Field(grid, b.v[row]), pair)
-        return b.take([row for row in range(len(b.cols)) if row not in ends]) if ends else b
+        if not ends:
+            return b
+        ended = b.take(list(ends))
+        if b.accepted % config.trace_stride:  # the last record is older than b.t
+            observe(ended, b.dt)
+        for k, status, row in zip(ended.cols, ends.values(), ended.v):
+            outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k], Field(grid, row))
+        return b.take([row for row in range(len(b.cols)) if row not in ends])
 
-    v = np.stack([u.values for u in u0s])
     blocks = [_Block(tuple(range(len(u0s))), v, np.max(np.abs(v), axis=1).tolist(),
                      0.0, config.dt_init)]
+    observe(blocks[0], config.dt_init)
     while blocks:
         b = blocks.pop()
         while b.cols and b.t < t_stop:
@@ -329,9 +323,7 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
             b.halvings = 0
             b.accepted += 1
             if b.accepted % config.trace_stride == 0:
-                for row, k in enumerate(b.cols):
-                    _observe(traces[k], snapshots[k], b.t, dt_try,
-                             Field(grid, b.v[row]), pair)
+                observe(b, dt_try)
             if max(sup) >= threshold:
                 b = leave(b, {row: SolveStatus.BLOW_UP for row, s in enumerate(sup) if s >= threshold})
             b.dt = min(b.dt * 1.2, config.dt_max)

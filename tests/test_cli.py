@@ -223,7 +223,9 @@ def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, monkeyp
             "scan": SCAN_2X2 + ["--out", str(out)],
             "table": ["table", "--n", "3", "--json-out", str(out / "table.json")]}
     assert main(argv[command]) == 2
-    assert "error: cannot write the output" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: cannot write the output" in captured.err
+    assert captured.out == ""
 
 
 def test_scan_empty_range(tmp_path):
@@ -363,19 +365,30 @@ def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("L, kaplan_R, key", [(12.0, None, "radius L=12.0"),
-                                              (3.0, 0.05, "kaplan_R")],
-                         ids=["ball-overflows", "kaplan-ball-underflows"])
-def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, L, kaplan_R, key):
+@pytest.mark.parametrize("n, L, M, kaplan_R, profile, key", [
+    (300, 12.0, 400, None, None, "radius L=12.0"),
+    (300, 3.0, 400, 0.05, None, "kaplan_R"),
+    (300, 10.6, 400, None, {"kind": "algebraic", "amplitude": 1e3, "k": 0.01}, "profile"),
+    (1, 1e-6, 400, None, {"kind": "gaussian", "amplitude": 1e300}, "profile"),
+    (1, 2.0, 2, None, {"kind": "gaussian", "amplitude": 1e308}, "profile"),
+], ids=["ball-overflows", "kaplan-ball-underflows", "trace-integral-overflows",
+        "trace-gradient-overflows", "trace-integral-and-gradient-overflow"])
+def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, n, L, M, kaplan_R,
+                                               profile, key):
     # the quadrature weight sphere_area(n) r^(n-1) leaves the float range:
-    # 12^300 overflows, 0.05^300 underflows
+    # 12^300 overflows, 0.05^300 underflows.  Or a trace value of a field of
+    # the largest sup a run can record, max(sup |u0|, 1e8) * 1.1, overflows:
+    # at n = 300, L = 10.6 the sum of 1.1e8 r^299 before the sphere area
+    # scales it; on L = 1e-6 the gradient 1.1e300 / h; on L = 2, both
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
-    doc["problem"]["n"] = 300
-    doc["grid"] = {"L": L, "M": 400}
+    doc["problem"]["n"] = n
+    doc["grid"] = {"L": L, "M": M}
     doc["solve"] = {"t_end": 1e-3}
     if kaplan_R is not None:
         doc["solve"]["kaplan_R"] = kaplan_R
+    if profile is not None:
+        doc["profile"] = profile
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
     assert key in err and "out of float range" in err

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fujitalab.grid import (Field, ProfileSpec, RadialGrid, dipole_with_mean,
-                            field_to_csv, integrate, l1_norm, mean,
-                            sample_profile, sup_norm)
+from fujitalab.grid import (Field, ProfileSpec, RadialGrid, _integrate_rows,
+                            dipole_with_mean, field_to_csv, integrate, l1_norm,
+                            mean, sample_profile, sup_norm)
 
 
 def test_grid_nodes_exact_endpoints():
@@ -42,6 +42,18 @@ def test_integrate_rejects_non_finite():
     vals[3] = np.nan
     with pytest.raises(ValueError):
         integrate(Field(g, vals))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("M", [60, 301, 1200])
+def test_integrate_rows_equal_integrate_of_each_row(n, M):
+    g = RadialGrid(n, 12.0, M)
+    rng = np.random.default_rng(n * M)
+    v = rng.standard_normal((5, M + 2)) * np.exp(-g.nodes ** 2 / 8.0)
+    got = _integrate_rows(v, g)
+    assert got.shape == (5,)
+    for k, row in enumerate(v):
+        assert got[k] == integrate(Field(g, row))
 
 
 def test_integrate_linear_monotone():

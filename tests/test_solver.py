@@ -6,8 +6,9 @@ from scipy.linalg import solve_banded
 
 from fujitalab import solver
 from fujitalab.core import ProblemParams
-from fujitalab.grid import Field, ProfileSpec, RadialGrid, sample_profile
-from fujitalab.operators import laplacian_banded
+from fujitalab.certificates import kaplan_functional
+from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
+from fujitalab.operators import gradient_magnitude, laplacian_banded, principal_eigenpair
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
                               TraceRecord, comparison_tolerance, detect_blowup,
                               heat_reference, measure_plateau, run, run_batch,
@@ -271,6 +272,36 @@ def test_kaplan_monitor_recorded():
     out = run(params, u0, None, cfg)
     assert all(rec.kaplan_y is not None for rec in out.trace)
     assert out.trace[0].kaplan_y > 0
+
+
+@pytest.mark.parametrize("K", [1, 3, 32])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("M", [300, 1200])
+@pytest.mark.parametrize("kaplan", [False, True], ids=["no-kaplan", "kaplan"])
+def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
+    g = RadialGrid(n, 12.0, M)
+    pair = principal_eigenpair(n, 3.0, max(200, M // 2)) if kaplan else None
+    rng = np.random.default_rng(K * n * M)
+    v = rng.standard_normal((K, M + 2)) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0))
+    records = solver._record(0.25, 1e-3, v, g, pair)
+    assert len(records) == K
+    for rec, row in zip(records, v):
+        u = Field(g, row)
+        want = TraceRecord(
+            t=0.25, dt=1e-3, sup_u=float(np.max(row)), inf_u=float(np.min(row)),
+            l1_u=integrate(Field(g, np.abs(row))), mean_u=integrate(u),
+            sup_grad_u=float(np.max(gradient_magnitude(u).values)),
+            kaplan_y=kaplan_functional(u, pair) if kaplan else None)
+        assert rec == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_refuses_non_finite_initial_data(bad):
+    g = RadialGrid(1, 12.0, 100)
+    u0 = gaussian_data(g, [1.0])[0]
+    u0.values[10] = bad
+    with pytest.raises(ValueError, match="non-finite initial data"):
+        run(ProblemParams(n=1, p=3, q=2), u0, None, SolveConfig(t_end=0.1))
 
 
 def assert_same_outcome(got, want):
