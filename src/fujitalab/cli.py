@@ -27,7 +27,7 @@ from .certificates import (ForcingSpec, certificate_to_json,
                            stationary_certificate)
 from .core import (ProblemParams, Verdict, classify_positive,
                    critical_exponents)
-from .grid import Field, ProfileSpec, RadialGrid, _integrate_rows, field_to_csv, sample_profile
+from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
                      trace_to_csv)
@@ -213,7 +213,7 @@ def parse_scenario(doc: dict):
     with np.errstate(over="ignore", invalid="ignore"):
         sup0 = float(np.max(np.abs(profile.evaluate(grid.nodes))))
         v_max = float(np.maximum(sup0, config.blowup_threshold)) * (1.0 + config.growth_cap)
-        bounds = [_integrate_rows(np.full(grid.M + 2, v_max), grid), 8.0 * v_max / (2.0 * grid.h_r)]
+        bounds = [v_max * grid.weights.sum(), 8.0 * v_max / (2.0 * grid.h_r)]
     if not np.all(np.isfinite(bounds)):
         raise ConfigError(f"profile: a run may record a sup of max({sup0!r}, blowup_threshold) "
                           f"* (1 + growth_cap) = {v_max!r}, whose trace is out of float range")
@@ -263,7 +263,11 @@ def cmd_run(args) -> int:
     if forcing.kind != "constructed_stationary":
         u0.values[-1] = 0.0  # Dirichlet truncation
 
-    outcome = run(params, u0, h, config)
+    try:
+        outcome = run(params, u0, h, config)
+    except ValueError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 2
 
     (out / "trace.csv").write_text(trace_to_csv(outcome.trace), encoding="utf-8")
     (out / "final_field.csv").write_text(field_to_csv(outcome.final_field), encoding="utf-8")

@@ -2,8 +2,9 @@
 
 Everything is reduced to radial profiles on a uniform 1-D grid: node 0 is
 the center r = 0, node M+1 is the truncation boundary r = L.  Integrals
-against the n-dimensional volume element are composite trapezoid in r with
-the surface-area factor of the unit sphere.
+against the n-dimensional volume element are one weighted sum: the grid's
+``weights`` are the composite trapezoid rule in r with the surface area of
+the unit sphere and r^(n-1) folded in.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ class RadialGrid:
     L: float = 12.0
     M: int = 1200
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)  # r^(n-1)
+    # trapezoid weights of the volume element: sphere_area(n) h r^(n-1), halved at both ends
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -47,7 +49,9 @@ class RadialGrid:
         if self.M < 2:
             raise ValueError(f"need at least 2 interior nodes, got M={self.M!r}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.L, self.M + 2))
-        object.__setattr__(self, "weights", self.nodes ** (self.n - 1))
+        weights = area * self.h_r * self.nodes ** (self.n - 1)
+        weights[[0, -1]] *= 0.5
+        object.__setattr__(self, "weights", weights)
 
     @property
     def h_r(self) -> float:
@@ -76,10 +80,8 @@ def sphere_area(n: int) -> float:
 
 
 def integrate(f: Field) -> float:
-    """Integral of f over the ball B_L in R^n, trapezoid in the radius.
-
-    Returns sphere_area(n) * int_0^L f(r) r^(n-1) dr.
-    """
+    """Integral of f over the ball B_L in R^n, trapezoid in the radius:
+    sphere_area(n) * int_0^L f(r) r^(n-1) dr as the sum of f * grid.weights."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("cannot integrate a non-finite field")
     return float(_integrate_rows(f.values, f.grid))
@@ -87,9 +89,7 @@ def integrate(f: Field) -> float:
 
 def _integrate_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
     """``integrate`` along the last axis of v (one field per row), unchecked."""
-    w = v * g.weights
-    inner = g.h_r * (0.5 * w[..., 0] + w[..., 1:-1].sum(axis=-1) + 0.5 * w[..., -1])
-    return sphere_area(g.n) * inner
+    return (v * g.weights).sum(axis=-1)
 
 
 def sup_norm(f: Field) -> float:

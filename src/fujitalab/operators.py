@@ -7,6 +7,7 @@ the stencil is exact for quadratics at every node.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -241,8 +242,9 @@ def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
     values = np.concatenate([x, [0.0]])
     phi = Field(grid, values)
     mass = integrate(phi)
-    if mass <= 0:
-        raise RuntimeError("eigenfunction has nonpositive mass; iteration failed")
+    if not mass >= sys.float_info.min:
+        raise ValueError(f"the eigenfunction of the ball R={R!r} in dimension n={n!r} has "
+                         f"mass {mass!r}, which is not a positive normal float")
     phi = Field(grid, values / mass)
     if np.any(phi.values[:-1] <= 0):
         raise RuntimeError("principal eigenfunction is not positive in the interior")

@@ -257,7 +257,7 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     pair = (None if config.kaplan_R is None
             else principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2)))
     threshold = config.blowup_threshold
-    t_stop = config.t_end - 1e-14 * max(1.0, config.t_end)
+    t_stop = config.t_end - 1e-14 * config.t_end
     v = np.stack([u.values for u in u0s])
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot run from non-finite initial data")

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -181,10 +182,11 @@ def test_certify_refused_regime(capsys):
     ["--n", "343", "--p", "1.02", "--q", "1.01"],
     ["--n", "343", "--p", "1.02", "--q", "1.01", "--kind", "stationary"],
     ["--n", "3", "--p", "4.5", "--q", "2", "--kind", "stationary", "--eps", "-0.01"],
+    ["--n", "1", "--p", "4", "--q", "2", "--eps", "0.1"],
 ], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows",
         "stationary-p-inf", "stationary-q-huge-margin-overflows",
         "eps-bracket-does-not-close", "stationary-eps-bracket-does-not-close",
-        "stationary-eps-negative"])
+        "stationary-eps-negative", "gaussian-eps-given"])
 def test_certify_refuses_a_certificate_it_cannot_verify(capsys, argv):
     # argparse keeps the last --kind
     assert main(["certify", "--kind", "gaussian"] + argv) == 2
@@ -308,6 +310,14 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_scan_refuses_a_point_outside_the_standing_assumptions(tmp_path, capsys):
+    # covers a refusal no other test reaches: p = 1 is not p > 1
+    out = tmp_path / "scan"
+    assert main(SCAN_2X2 + ["--p-range", "1", "1", "--out", str(out)]) == 2
+    assert "outside standing assumptions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--b", "1e300"],
     ["--q-range", "1e6", "1e6"],
@@ -368,7 +378,7 @@ def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
 @pytest.mark.parametrize("n, L, M, kaplan_R, profile, key", [
     (300, 12.0, 400, None, None, "radius L=12.0"),
     (300, 3.0, 400, 0.05, None, "kaplan_R"),
-    (300, 10.6, 400, None, {"kind": "algebraic", "amplitude": 1e3, "k": 0.01}, "profile"),
+    (300, 10.6, 400, None, {"kind": "algebraic", "amplitude": 1e200, "k": 0.01}, "profile"),
     (1, 1e-6, 400, None, {"kind": "gaussian", "amplitude": 1e300}, "profile"),
     (1, 2.0, 2, None, {"kind": "gaussian", "amplitude": 1e308}, "profile"),
 ], ids=["ball-overflows", "kaplan-ball-underflows", "trace-integral-overflows",
@@ -378,8 +388,8 @@ def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, n, L, M, kaplan
     # the quadrature weight sphere_area(n) r^(n-1) leaves the float range:
     # 12^300 overflows, 0.05^300 underflows.  Or a trace value of a field of
     # the largest sup a run can record, max(sup |u0|, 1e8) * 1.1, overflows:
-    # at n = 300, L = 10.6 the sum of 1.1e8 r^299 before the sphere area
-    # scales it; on L = 1e-6 the gradient 1.1e300 / h; on L = 2, both
+    # at n = 300, L = 10.6 the bound 1.1e200 times the ball's volume
+    # 2.7e119; on L = 1e-6 the gradient 1.1e300 / h; on L = 2, both
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
     doc["problem"]["n"] = n
@@ -393,6 +403,34 @@ def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, n, L, M, kaplan
     err = capsys.readouterr().err
     assert key in err and "out of float range" in err
     assert not out_dir.exists()
+
+
+def test_run_records_finite_integrals_on_a_large_ball(tmp_path):
+    # at n = 300, L = 10.6 the integral of 1e3 (1 + r^2)^-0.01 is about
+    # 1.6e122, although the sum of u r^299 alone overflows
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["problem"]["n"] = 300
+    doc["profile"] = {"kind": "algebraic", "amplitude": 1e3, "k": 0.01}
+    doc["grid"] = {"L": 10.6, "M": 400}
+    doc["solve"] = {"t_end": 1e-4}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    rows = list(csv.DictReader(io.StringIO((out_dir / "trace.csv").read_text())))
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("l1_u", "mean_u"))
+    assert float(rows[0]["l1_u"]) == pytest.approx(1.638e122, rel=1e-3)
+
+
+def test_run_refuses_a_kaplan_ball_whose_eigenfunction_cannot_be_normalized(tmp_path, capsys):
+    # sphere_area(300) * 0.4^300 is about 1e-306, a normal float, but the
+    # eigenfunction's mass underflows to 0
+    doc = blowup_config(tmp_path / "out")
+    doc["problem"]["n"] = 300
+    doc["grid"] = {"L": 3.0, "M": 400}
+    doc["solve"] = {"t_end": 1e-3, "kaplan_R": 0.4}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert "R=0.4" in err and "n=300" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("eps", [-0.01, 0.0], ids=["negative", "zero"])
@@ -437,10 +475,13 @@ def _set(doc, path, value):
                     "centers": [1.6, 4.2], "widths": [1, 1, 1]}),
     (("grid", "L"), 5e-324),
     (("grid", "L"), 1e300),
+    (("profile", "kind"), "triangle"),
+    (("forcing", "kind"), "triangle"),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
         "M-float", "trace_stride-float", "output-stride-string", "problem-number",
         "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
-        "sum-overflow", "dipole-one-center", "dipole-three-widths", "L-tiny", "L-huge"])
+        "sum-overflow", "dipole-one-center", "dipole-three-widths", "L-tiny", "L-huge",
+        "profile-kind-unknown", "forcing-kind-unknown"])
 def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     doc = blowup_config(tmp_path / "out")
     _set(doc, path, value)

@@ -5,7 +5,7 @@ import pytest
 
 from fujitalab.grid import (Field, ProfileSpec, RadialGrid, _integrate_rows,
                             dipole_with_mean, field_to_csv, integrate, l1_norm,
-                            mean, sample_profile, sup_norm)
+                            mean, sample_profile, sphere_area, sup_norm)
 
 
 def test_grid_nodes_exact_endpoints():
@@ -54,6 +54,18 @@ def test_integrate_rows_equal_integrate_of_each_row(n, M):
     assert got.shape == (5,)
     for k, row in enumerate(v):
         assert got[k] == integrate(Field(g, row))
+
+
+@pytest.mark.parametrize("n, L", [(1, 12.0), (3, 12.0), (7, 12.0), (300, 10.6)])
+@pytest.mark.parametrize("M", [60, 301, 1200])
+def test_integrate_is_the_trapezoid_rule_of_the_volume_element(n, L, M):
+    # the weights fold the end halves, the uniform spacing h and the sphere
+    # area into one vector; at n = 300 the sum of u r^299 alone overflows,
+    # the integral does not
+    g = RadialGrid(n, L, M)
+    f = 1e3 * np.random.default_rng(n * M).uniform(0.0, 1.0, M + 2)
+    want = np.trapezoid(f * sphere_area(n) * g.nodes ** (n - 1), dx=g.h_r)
+    assert integrate(Field(g, f)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_integrate_linear_monotone():

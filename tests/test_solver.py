@@ -295,6 +295,14 @@ def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
         assert rec == want
 
 
+def test_run_steps_to_a_horizon_below_1e_14():
+    g = RadialGrid(1, 12.0, 100)
+    out = run(ProblemParams(n=1, p=3, q=2), gaussian_data(g, [1.0])[0], None,
+              SolveConfig(t_end=1e-15))
+    assert out.status is SolveStatus.REACHED_HORIZON
+    assert len(out.trace) >= 2 and out.trace[-1].t == 1e-15
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_run_refuses_non_finite_initial_data(bad):
     g = RadialGrid(1, 12.0, 100)
