@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ProblemParams
 from .grid import Field, RadialGrid, integrate
-from .operators import Eigenpair, Reaction
+from .operators import Eigenpair, rhs
 
 
 @dataclass(frozen=True)
@@ -420,18 +420,19 @@ def testfunction_scaling(trajectory: List[Tuple[float, Field]],
             raise ValueError(f"tau = {tau} needs the trajectory up to 2 tau = {2 * tau}, "
                              f"but it ends at {t_last}")
     u0 = trajectory[0][1]
-    reaction = Reaction(u0.grid, [params])
+    dens: List[np.ndarray] = []  # each snapshot's reaction, assembled on first use
     lhs_values = []
     for tau in tau_list:
         xi_pow = space_cutoff(u0.grid.nodes / tau ** r_exp) ** (q / (q - 1.0))
         spatial = []
         times = []
-        for t, u in trajectory:
+        for i, (t, u) in enumerate(trajectory):
             w = float(time_cutoff(np.array(t / tau))) ** (p / (p - 1.0))
             if w == 0.0 and t > 2.0 * tau:
                 break
-            dens = reaction(u.values[None])[0]
-            spatial.append(w * integrate(Field(u.grid, dens * xi_pow)))
+            if i == len(dens):
+                dens.append(rhs(u, params).values)
+            spatial.append(w * integrate(Field(u.grid, dens[i] * xi_pow)))
             times.append(t)
         # trapezoid in t; 0 for a single snapshot
         spatial, times = np.asarray(spatial), np.asarray(times)

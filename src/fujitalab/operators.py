@@ -3,7 +3,9 @@
 The radial Laplacian is u_rr + (n-1)/r u_r with the removable singularity
 at the center handled by the symmetric ghost-node limit
 Lap f(0) = n f_rr(0) = 2n (f_1 - f_0)/h^2;  second order is preserved and
-the stencil is exact for quadratics at every node.
+the stencil is exact for quadratics at every node.  The reaction and the
+centered |u_r| take nodes 0..M, the unknowns of a time step; the one-sided
+|u_r| at the pinned boundary node is computed only where it is read.
 """
 from __future__ import annotations
 
@@ -43,34 +45,40 @@ def _laplacian_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
 
 def gradient_magnitude(f: Field) -> Field:
     """|d/dr f|; zero at the center by radial symmetry."""
-    return Field(f.grid, _gradient_rows(f.values, f.grid.h_r))
+    v, h = f.values, f.grid.h_r
+    return Field(f.grid, np.append(_gradient_rows(v, h), _boundary_gradient(v, h)))
 
 
 def _gradient_rows(v: np.ndarray, h: float) -> np.ndarray:
-    """|d/dr| along the last axis of v; zero at the center."""
-    out = np.empty_like(v)
+    """|d/dr| at nodes 0..M along the last axis of v (nodes 0..M+1); 0 at the center."""
+    out = np.empty_like(v[..., :-1])
     out[..., 0] = 0.0
-    inner = out[..., 1:-1]
+    inner = out[..., 1:]
     np.subtract(v[..., 2:], v[..., :-2], out=inner)
     np.abs(inner, out=inner)
     inner /= 2.0 * h
-    out[..., -1] = np.abs(3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return out
 
 
+def _boundary_gradient(v: np.ndarray, h: float) -> np.ndarray:
+    """|d/dr| at the boundary node M+1, one-sided and exact for quadratics."""
+    return np.abs(3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+
+
 def rhs(u: Field, params: ProblemParams, h: Optional[Field] = None) -> Field:
-    """Reaction part of the equation: |u|^p + b |grad u|^q + h, pointwise.
+    """Reaction part of the equation: |u|^p + b |grad u|^q + h at every node.
 
     Negative values always enter through |u|^p, never u^p.  Diffusion is
     handled separately by the time stepper.
     """
     if not np.all(np.isfinite(u.values)):
         raise ValueError("rhs of a non-finite field")
-    return Field(u.grid, Reaction(u.grid, [params], h)(u.values[None])[0])
+    grad = gradient_magnitude(u).values
+    return Field(u.grid, Reaction(u.grid, [params], h)(u.values[None], grad[None])[0])
 
 
 class Reaction:
-    """The reaction |u|^p + b |grad u|^q + h on a (K, M+2) block of fields.
+    """The reaction |u|^p + b |grad u|^q + h on a block of fields, one per row.
 
     The rows share n, b, the two switches and h; row k has its own (p, q)
     from ``params_list[k]``.  Rows that share an exponent are raised
@@ -88,7 +96,6 @@ class Reaction:
             raise ValueError("a reaction block needs one n, b and term switches")
         if h is not None and h.grid != grid:
             raise ValueError("forcing field lives on a different grid")
-        self.h_r = grid.h_r
         self.forcing = None if h is None else h.values
         self.source = (_exponent_rows([prm.p for prm in params_list])
                        if first.use_source else None)
@@ -96,20 +103,21 @@ class Reaction:
         self.gradient = (_exponent_rows([prm.q for prm in params_list])
                          if first.use_gradient and first.b != 0 else None)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """The reaction of every row of ``v``, as a new block."""
+    def __call__(self, v: np.ndarray, grad: Optional[np.ndarray]) -> np.ndarray:
+        """The reaction of every row of ``v``, the first m nodes of each field,
+        as a new block; ``grad`` is |u_r| at those nodes and is overwritten
+        (it may be None when ``self.gradient`` is None)."""
         if self.source is None:
             out = np.zeros_like(v)
         else:
             out = np.abs(v)
             _raise_rows(out, self.source)
         if self.gradient is not None:
-            grad = _gradient_rows(v, self.h_r)
             _raise_rows(grad, self.gradient)
             grad *= self.b
             out += grad
         if self.forcing is not None:
-            out += self.forcing
+            out += self.forcing[:v.shape[-1]]
         return out
 
 

@@ -11,12 +11,12 @@ and dt sits at dt_max for long stretches of a settled run, so an
 dt changes.  The solve from kept factors is bit-identical to refactoring.
 
 ``_step`` advances a (K, M+2) block of fields, one per row, with one
-multi-column solve; ``_record`` records a block with one reduction per
-monitored quantity.  ``run_batch`` holds the one adaptive loop and takes
-every trace record and snapshot: it steps problems that differ only in p
-and q in lockstep and splits off the columns whose step is rejected, so
-each column has one history, bit for bit its lone run's.  ``run`` is
-``run_batch`` with one column.
+reaction assembly at the M+1 unknowns and one multi-column solve;
+``_record`` records a block with one reduction per monitored quantity.
+``run_batch`` holds the one adaptive loop and takes every trace record and
+snapshot: it steps problems that differ only in p and q in lockstep and
+splits off the columns whose step is rejected, so each column has one
+history, bit for bit its lone run's.  ``run`` is ``run_batch`` with one column.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -40,9 +40,9 @@ from scipy.linalg import solve_banded  # noqa: F401
 from .certificates import kaplan_functional
 from .core import ProblemParams
 from .grid import Field, RadialGrid, _integrate_rows
-from .operators import (BandedLU, Eigenpair, Reaction, _gradient_rows,
-                        _laplacian_rows, banded_lu, banded_lu_solve,
-                        laplacian_banded, principal_eigenpair)
+from .operators import (BandedLU, Eigenpair, Reaction, _boundary_gradient,
+                        _gradient_rows, _laplacian_rows, banded_lu,
+                        banded_lu_solve, laplacian_banded, principal_eigenpair)
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
 from .operators import rhs  # noqa: F401
 
@@ -159,7 +159,9 @@ def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
     theta = stepper.theta
     out = v.copy()  # the boundary column stays
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = reaction(v)[:, :-1] * dt
+        grad = None if reaction.gradient is None else _gradient_rows(v, stepper.grid.h_r)
+        b = reaction(v[:, :-1], grad)  # the reaction at the unknowns 0..M only
+        b *= dt
         b += v[:, :-1]
         if theta < 1.0:
             b += dt * (1.0 - theta) * _laplacian_rows(v, stepper.grid)[:, :-1]
@@ -176,7 +178,8 @@ def _record(t: float, dt: float, v: np.ndarray, grid: RadialGrid,
     return [TraceRecord(t, dt, *values) for values in zip(
         np.max(v, axis=1).tolist(), np.min(v, axis=1).tolist(),
         _integrate_rows(np.abs(v), grid).tolist(), _integrate_rows(v, grid).tolist(),
-        np.max(_gradient_rows(v, grid.h_r), axis=1).tolist(), ys)]
+        np.maximum(np.max(_gradient_rows(v, grid.h_r), axis=1),
+                   _boundary_gradient(v, grid.h_r)).tolist(), ys)]
 
 
 def _finish(status: Optional[SolveStatus], params: ProblemParams,

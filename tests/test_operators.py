@@ -106,6 +106,18 @@ def test_rhs_gaussian_composite():
     assert at_sqrt2 == pytest.approx(1.5 / math.e, abs=1e-4)
 
 
+def test_rhs_at_the_boundary_node_uses_the_one_sided_gradient():
+    # the step never reads the reaction at r = L; rhs still gives it there
+    g = RadialGrid(2, 4.0, 200)
+    u = Field(g, 1.5 - 0.3 * g.nodes - np.sin(g.nodes))
+    h = Field(g, 0.2 + 0.1 * g.nodes)
+    params = ProblemParams(n=2, p=3, q=1.5, b=0.7)
+    g_L = gradient_magnitude(u).values[-1]
+    assert g_L > 0.1
+    want = abs(u.values[-1]) ** 3 + 0.7 * g_L ** 1.5 + h.values[-1]
+    assert rhs(u, params, h).values[-1] == pytest.approx(want, rel=1e-14)
+
+
 def test_rhs_uses_absolute_value_and_toggles():
     g = RadialGrid(1, 5.0, 200)
     neg = Field(g, np.full_like(g.nodes, -2.0))

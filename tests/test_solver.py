@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from fujitalab import solver
 from fujitalab.core import ProblemParams
 from fujitalab.certificates import kaplan_functional
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
-from fujitalab.operators import gradient_magnitude, laplacian_banded, principal_eigenpair
+from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
+                                 laplacian_banded, principal_eigenpair, rhs)
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
                               TraceRecord, comparison_tolerance, detect_blowup,
                               heat_reference, measure_plateau, run, run_batch,
@@ -51,6 +53,50 @@ def test_stepper_solve_bitwise_equals_solve_banded(n, theta):
         expected = solve_banded((1, 1), a, b)
         for _ in range(2):  # a fresh factorization, then the cached one
             assert np.array_equal(stepper.solve(dt, b.copy()), expected)
+
+
+def reference_step(u, dt, params, h, theta, banded):
+    """One theta step of one field from public pieces: the reaction at every
+    node from ``rhs``, the Laplacian, and ``solve_banded`` on ``banded``, the
+    grid's ``laplacian_banded``."""
+    ab, c_boundary = banded
+    v = u.values
+    b = rhs(u, params, h).values[:-1] * dt + v[:-1]
+    if theta < 1.0:
+        b += dt * (1.0 - theta) * laplacian(u).values[:-1]
+    b[-1] += theta * dt * c_boundary * v[-1]
+    a = -theta * dt * ab
+    a[1] += 1.0
+    return np.append(solve_banded((1, 1), a, b), v[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("M", [2, 3, 60, 301])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_step_rows_equal_a_reference_from_public_pieces(n, M, theta):
+    # the step assembles the reaction at the unknowns 0..M only; each finite
+    # row must still equal the step built on rhs over every node, bit for bit
+    g = RadialGrid(n, 3.0, M)
+    stepper = ImexStepper(g, theta)
+    banded = laplacian_banded(g)
+    rng = np.random.default_rng(100 * n + M)
+    for K, forced, source, gradient, b in itertools.product(
+            [1, 3, 8], [False, True], [False, True], [False, True], [0.0, 0.7, 1.0]):
+        params = [ProblemParams(n, p, q, b, source, gradient) for p, q in zip(
+            rng.choice([1.5, 2.0, 3.7], K), rng.choice([1.0, 1.3, 2.0, 2.5], K))]
+        h = Field(g, rng.standard_normal(M + 2)) if forced else None
+        v = 2.0 * rng.standard_normal((K, M + 2))
+        v[:, -1] = rng.standard_normal()  # a nonzero boundary value
+        if K > 1:
+            v[1, M // 2] = np.inf
+        dt = float(rng.choice([1e-3, 0.03]))
+        out = solver._step(stepper, v, dt, Reaction(g, params, h))
+        for row, prm, got in zip(v, params, out):
+            if np.all(np.isfinite(row)):
+                want = reference_step(Field(g, row), dt, prm, h, theta, banded)
+                assert np.array_equal(got, want)
+            else:
+                assert not np.all(np.isfinite(got[:-1]))
 
 
 @pytest.fixture
@@ -293,6 +339,17 @@ def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
             sup_grad_u=float(np.max(gradient_magnitude(u).values)),
             kaplan_y=kaplan_functional(u, pair) if kaplan else None)
         assert rec == want
+
+
+def test_record_reads_the_gradient_at_the_boundary_node():
+    # u = L^2 - r^2 is steepest at r = L, where only the one-sided
+    # difference sees it
+    g = RadialGrid(1, 5.0, 100)
+    u = Field(g, 25.0 - g.nodes ** 2)
+    g_L = gradient_magnitude(u).values[-1]
+    assert g_L > np.max(gradient_magnitude(u).values[:-1])
+    (rec,) = solver._record(0.0, 1e-3, u.values[None], g, None)
+    assert rec.sup_grad_u == g_L
 
 
 def test_run_steps_to_a_horizon_below_1e_14():
