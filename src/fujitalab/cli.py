@@ -207,7 +207,10 @@ def parse_scenario(doc: dict):
     _check_keys(out, {"dir", "stride"}, "output")
     out_dir = _field(out, "dir", str, "output", "out")
     if "stride" in out:
-        kw["trace_stride"] = _field(out, "stride", int, "output")
+        stride = _field(out, "stride", int, "output")
+        if kw.setdefault("trace_stride", stride) != stride:
+            raise ConfigError(f"output.stride = {stride!r} disagrees with "
+                              f"solve.trace_stride = {kw['trace_stride']!r}")
     config = SolveConfig(**kw)
     # every recorded sup is <= v_max (NaN for a non-finite profile), so these bound the trace
     with np.errstate(over="ignore", invalid="ignore"):

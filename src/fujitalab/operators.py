@@ -3,9 +3,11 @@
 The radial Laplacian is u_rr + (n-1)/r u_r with the removable singularity
 at the center handled by the symmetric ghost-node limit
 Lap f(0) = n f_rr(0) = 2n (f_1 - f_0)/h^2;  second order is preserved and
-the stencil is exact for quadratics at every node.  The reaction and the
-centered |u_r| take nodes 0..M, the unknowns of a time step; the one-sided
-|u_r| at the pinned boundary node is computed only where it is read.
+the stencil is exact for quadratics at every node.  It is written once, as
+the banded A of ``laplacian_banded`` on nodes 0..M, the unknowns of a time
+step, which the solver factors and ``_laplacian_unknowns`` applies.  The
+reaction and the centered |u_r| take nodes 0..M; the one-sided d/dr at the
+pinned boundary node is computed only where it is read.
 """
 from __future__ import annotations
 
@@ -22,24 +24,18 @@ from .grid import Field, RadialGrid, integrate
 
 
 def laplacian(f: Field) -> Field:
-    return Field(f.grid, _laplacian_rows(f.values, f.grid))
+    """The Laplacian at every node: the banded A at nodes 0..M, and at the boundary
+    a shifted 3-point second difference plus the one-sided d/dr, both exact for quadratics."""
+    g, v = f.grid, f.values
+    fpp = (v[-1] - 2.0 * v[-2] + v[-3]) / g.h_r ** 2
+    boundary = fpp + (g.n - 1) / g.nodes[-1] * _one_sided_derivative(v, g.h_r)
+    return Field(g, np.append(_laplacian_unknowns(*laplacian_banded(g), v), boundary))
 
 
-def _laplacian_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
-    """The discrete Laplacian along the last axis of v (one field per row)."""
-    h = g.h_r
-    r = g.nodes
-    n = g.n
-    out = np.empty_like(v)
-    out[..., 0] = 2.0 * n * (v[..., 1] - v[..., 0]) / h ** 2
-    second = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h ** 2
-    first = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    out[..., 1:-1] = second + (n - 1) / r[1:-1] * first
-    # boundary node: shifted 3-point second difference + one-sided first
-    # derivative, both exact for quadratics
-    fpp = (v[..., -1] - 2.0 * v[..., -2] + v[..., -3]) / h ** 2
-    fp = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
-    out[..., -1] = fpp + (n - 1) / r[-1] * fp
+def _laplacian_unknowns(ab: np.ndarray, c_boundary: float, v: np.ndarray) -> np.ndarray:
+    """A v at nodes 0..M along the last axis of v; v_{M+1} enters row M via c_boundary."""
+    out = _banded_matvec(ab, v[..., :-1])
+    out[..., -1] += c_boundary * v[..., -1]
     return out
 
 
@@ -60,9 +56,14 @@ def _gradient_rows(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _one_sided_derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """d/dr at the boundary node M+1, one-sided and exact for quadratics."""
+    return (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+
+
 def _boundary_gradient(v: np.ndarray, h: float) -> np.ndarray:
-    """|d/dr| at the boundary node M+1, one-sided and exact for quadratics."""
-    return np.abs(3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    """|d/dr| at the boundary node M+1."""
+    return np.abs(_one_sided_derivative(v, h))
 
 
 def rhs(u: Field, params: ProblemParams, h: Optional[Field] = None) -> Field:
@@ -148,12 +149,9 @@ def laplacian_banded(grid: RadialGrid) -> Tuple[np.ndarray, float]:
     Returns (ab, c_boundary): ab in scipy solve_banded layout, and the
     coefficient multiplying the fixed boundary value u_{M+1} in row M.
     """
-    h = grid.h_r
-    r = grid.nodes
-    n = grid.n
-    m = grid.M + 1  # unknowns: nodes 0..M
+    h, n, m = grid.h_r, grid.n, grid.M + 1  # unknowns: nodes 0..M
     ab = np.zeros((3, m))
-    ri = r[1:m]  # interior radii, nodes 1..M
+    ri = grid.nodes[1:m]  # interior radii, nodes 1..M
     c_minus = 1.0 / h ** 2 - (n - 1) / (2.0 * h * ri)
     c_plus = 1.0 / h ** 2 + (n - 1) / (2.0 * h * ri)
     ab[1, 0] = -2.0 * n / h ** 2
@@ -189,8 +187,8 @@ def banded_lu_solve(lu: BandedLU, b: np.ndarray) -> np.ndarray:
 
 def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[2, :-1] * x[:-1]
+    y[..., :-1] += ab[0, 1:] * x[..., 1:]
+    y[..., 1:] += ab[2, :-1] * x[..., :-1]
     return y
 
 
@@ -219,8 +217,7 @@ def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
     if M < 100:
         raise ValueError("eigenpair grid needs M >= 100")
     grid = RadialGrid(n, float(R), M)
-    ab, _ = laplacian_banded(grid)
-    neg = -ab  # -Lap is positive definite on Dirichlet functions
+    neg = -laplacian_banded(grid)[0]  # -Lap is positive definite on Dirichlet functions
     lu = banded_lu(neg)
 
     x = 1.0 - (grid.nodes[:-1] / R) ** 2

@@ -1,9 +1,9 @@
 """Time integration with adaptive steps, monitors and blow-up detection.
 
-The stepper is an IMEX theta scheme: diffusion implicit (tridiagonal solve
-per step), the nonlinear reaction explicit.  The step size halves whenever
-a step produces a non-finite state or grows the sup norm by more than
-``growth_cap`` relative, and grows by 1.2x up to ``dt_max`` otherwise.
+The stepper is an IMEX theta scheme: diffusion implicit in the banded
+Laplacian A (the explicit half, theta < 1, applies the same A), the reaction
+explicit.  A step halves dt when it makes a non-finite state or grows the
+sup norm by more than ``growth_cap`` relative; else dt grows 1.2x up to ``dt_max``.
 
 The implicit matrix I - theta dt A depends on the step only through dt,
 and dt sits at dt_max for long stretches of a settled run, so an
@@ -41,7 +41,7 @@ from .certificates import kaplan_functional
 from .core import ProblemParams
 from .grid import Field, RadialGrid, _integrate_rows
 from .operators import (BandedLU, Eigenpair, Reaction, _boundary_gradient,
-                        _gradient_rows, _laplacian_rows, banded_lu,
+                        _gradient_rows, _laplacian_unknowns, banded_lu,
                         banded_lu_solve, laplacian_banded, principal_eigenpair)
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
 from .operators import rhs  # noqa: F401
@@ -164,7 +164,7 @@ def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
         b *= dt
         b += v[:, :-1]
         if theta < 1.0:
-            b += dt * (1.0 - theta) * _laplacian_rows(v, stepper.grid)[:, :-1]
+            b += dt * (1.0 - theta) * _laplacian_unknowns(stepper.ab, stepper.c_boundary, v)
         b[:, -1] += theta * dt * stepper.c_boundary * v[:, -1]
         # b.T is Fortran-ordered, so one dgttrs solves every row in place
         out[:, :-1] = stepper.solve(dt, b.T).T

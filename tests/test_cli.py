@@ -366,6 +366,29 @@ def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+def test_run_refuses_disagreeing_stride_keys(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["solve"]["trace_stride"] = 10
+    doc["output"]["stride"] = 3
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "solve.trace_stride" in err and "output.stride" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("solve_stride, output_stride", [(3, 3), (3, None), (None, 3)],
+                         ids=["equal", "solve-only", "output-only"])
+def test_parse_scenario_accepts_agreeing_stride_keys(solve_stride, output_stride):
+    doc = blowup_config("out")
+    del doc["solve"]["trace_stride"]
+    if solve_stride is not None:
+        doc["solve"]["trace_stride"] = solve_stride
+    if output_stride is not None:
+        doc["output"]["stride"] = output_stride
+    assert parse_scenario(doc)[2].trace_stride == 3
+
+
 def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)

@@ -34,11 +34,14 @@ def first_j0_zero() -> float:
     return 0.5 * (lo + hi)
 
 
-def test_laplacian_exact_for_quadratics():
-    g = RadialGrid(3, 2.0, 500)
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("M", [2, 3, 500])
+def test_laplacian_exact_for_quadratics(n, M):
+    # M = 2 and 3: the boundary row's 3-point stencil reaches the center
+    g = RadialGrid(n, 2.0, M)
     f = Field(g, 1.0 - g.nodes ** 2 / g.L ** 2)
     lap = laplacian(f)
-    assert np.max(np.abs(lap.values - (-6.0 / g.L ** 2))) < 1e-10
+    assert np.max(np.abs(lap.values - (-2.0 * n / g.L ** 2))) < 1e-10
 
 
 def test_laplacian_gaussian_center():
