@@ -19,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ProblemParams
+from .core import ProblemParams, critical_exponents
 from .grid import Field, RadialGrid, integrate
 from .operators import Eigenpair, rhs
 
@@ -190,11 +191,11 @@ def gradient_constant(q: float, b: float) -> float:
 def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertificate:
     """Construct and verify the decaying supersolution certificate.
 
-    Requires the small-data global regime p > 1 + 2/n and q > 1 + 1/(n+1).
-    k is fixed at half the binding exponent bound; eps is the largest
-    amplitude with eps^(p-1) + C_grad eps^(q-1) <= k (bisection), which is
-    exactly the scalar inequality making the residual nonnegative for all
-    (t, r); the lattice evaluation then cross-checks the sign pointwise.
+    Requires the small-data global regime p > 1 + 2/n and q > 1 + 1/(n+1),
+    compared exactly.  k is fixed at half the binding exponent bound; eps
+    is the largest amplitude with eps^(p-1) + C_grad eps^(q-1) <= k
+    (bisection), the exact scalar inequality making the residual
+    nonnegative for all (t, r); the lattice then cross-checks the sign.
     Refused (ValueError) unless n >= 1, p, q, b are finite, C_grad and the
     bisection stay in the float range, the bisection bracket closes below
     2^200, eps > 0 and the residual is >= 0 (so a NaN residual fails).
@@ -203,10 +204,11 @@ def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertif
     if not (n >= 1 and all(map(math.isfinite, (p, q, b)))):
         raise ValueError(f"need n >= 1 and finite p, q, b; got n={n!r}, "
                          f"p={p!r}, q={q!r}, b={b!r}")
-    if not p > 1.0 + 2.0 / n:
-        raise ValueError(f"hypothesis failed: p <= p_F = 1 + 2/n = {1 + 2 / n:.6g}")
-    if not q > 1.0 + 1.0 / (n + 1):
-        raise ValueError(f"hypothesis failed: q <= 1 + 1/(n+1) = {1 + 1 / (n + 1):.6g}")
+    crit = critical_exponents(n)
+    if not Fraction(p) > crit.p_fujita:
+        raise ValueError(f"hypothesis failed: p <= p_F = 1 + 2/n = {float(crit.p_fujita):.6g}")
+    if not Fraction(q) > crit.q_fujita:
+        raise ValueError(f"hypothesis failed: q <= 1 + 1/(n+1) = {float(crit.q_fujita):.6g}")
     if b < 0:
         raise ValueError("b must be >= 0")
 
@@ -292,11 +294,11 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
                            eps: Optional[float] = None) -> StationaryCertificate:
     """Construct the stationary certificate for the forced problem.
 
-    Requires n >= 3, p > n/(n-2) and q > n/(n-1) (otherwise the admissible
-    k-window is empty).  k sits at the window midpoint; eps is bisected so
-    the decay margin stays 25% clear of zero, absorbing the grid evaluation
-    of h > 0; an explicit eps is accepted as long as it is finite and > 0
-    and its margin is negative.
+    Requires n >= 3, p > n/(n-2) and q > n/(n-1), compared exactly
+    (otherwise the admissible k-window is empty).  k sits at the window
+    midpoint; eps is bisected so the decay margin stays 25% clear of zero,
+    absorbing the grid evaluation of h > 0; an explicit eps is accepted as
+    long as it is finite and > 0 and its margin is negative.
     """
     p, q, b = float(p), float(q), float(b)
     if not all(map(math.isfinite, (p, q, b))):
@@ -305,10 +307,13 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     if n < 3:
         raise ValueError("stationary certificate needs n >= 3 (empty k-window)")
-    if not p > n / (n - 2):
-        raise ValueError(f"hypothesis failed: p <= n/(n-2) = {n / (n - 2):.6g} (empty k-window)")
-    if not q > n / (n - 1):
-        raise ValueError(f"hypothesis failed: q <= n/(n-1) = {n / (n - 1):.6g} (empty k-window)")
+    crit = critical_exponents(n)
+    if not Fraction(p) > crit.p_star:
+        raise ValueError(f"hypothesis failed: p <= n/(n-2) = {float(crit.p_star):.6g} "
+                         "(empty k-window)")
+    if not Fraction(q) > crit.q_star:
+        raise ValueError(f"hypothesis failed: q <= n/(n-1) = {float(crit.q_star):.6g} "
+                         "(empty k-window)")
     lo = max(1.0 / (p - 1.0), (2.0 - q) / (2.0 * (q - 1.0)))
     hi = (n - 2.0) / 2.0
     if not lo < hi:

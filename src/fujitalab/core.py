@@ -6,6 +6,7 @@ closed (``<=``), the forced-problem blow-up condition is open (``<``).
 Comparisons are done in exact rational arithmetic (floats are taken at
 their exact binary value, and callers probing a boundary can pass
 ``fractions.Fraction``), so no epsilon ever reclassifies a critical case.
+The thresholds are read from one exact source, ``critical_exponents``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be an integer >= 1, got {self.n!r}")
+        for name in ("p", "q", "b"):  # an int or a Fraction is finite at any size
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.p > 1:
             raise ValueError(f"source exponent p must satisfy p > 1, got {self.p!r}")
         if not self.q >= 1:
@@ -67,8 +72,9 @@ class RegimeVerdict:
 
 @dataclass(frozen=True)
 class CriticalExponents:
-    """The critical curves attached to dimension n.
+    """The critical curves attached to dimension n, as exact rationals.
 
+    The classifiers, both certificates and ``fujitalab table`` read them.
     ``p_star``/``q_star`` are the thresholds of the forced (inhomogeneous)
     problem; they are undefined for n = 1 (``None``), and for n = 2 the
     convention p_star = infinity is used (compares greater than every
@@ -76,32 +82,24 @@ class CriticalExponents:
     """
 
     n: int
-    p_fujita: float          # 1 + 2/n
-    q_fujita: float          # 1 + 1/(n+1)
-    p_star: Optional[float]  # n/(n-2); inf for n = 2; None for n = 1
-    q_star: Optional[float]  # n/(n-1); None for n = 1
+    p_fujita: Fraction                    # 1 + 2/n
+    q_fujita: Fraction                    # 1 + 1/(n+1)
+    p_star: Union[Fraction, float, None]  # n/(n-2); inf for n = 2; None for n = 1
+    q_star: Optional[Fraction]            # n/(n-1); None for n = 1
 
-    def q_one_of_p(self, p: Real) -> float:
-        """Gradient-exponent threshold 1 + 1/(np - 1) for the nonnegative-mean result."""
-        return 1.0 + 1.0 / (self.n * float(p) - 1.0)
+    def q_one_of_p(self, p: Real) -> Fraction:
+        """Gradient-exponent threshold 1 + 1/(np - 1) of the nonnegative-mean
+        result, exact at the binary value of p (needs np > 1)."""
+        return 1 + 1 / (self.n * _exact(p) - 1)
 
 
 def critical_exponents(n: int) -> CriticalExponents:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
-    p_fujita = 1.0 + 2.0 / n
-    q_fujita = 1.0 + 1.0 / (n + 1)
-    if n == 1:
-        p_star = None
-        q_star = None
-    elif n == 2:
-        p_star = math.inf
-        q_star = 2.0
-    else:
-        p_star = n / (n - 2)
-        q_star = n / (n - 1)
-    return CriticalExponents(n=n, p_fujita=p_fujita, q_fujita=q_fujita,
-                             p_star=p_star, q_star=q_star)
+    return CriticalExponents(
+        n=n, p_fujita=1 + Fraction(2, n), q_fujita=1 + Fraction(1, n + 1),
+        p_star=None if n == 1 else math.inf if n == 2 else Fraction(n, n - 2),
+        q_star=None if n == 1 else Fraction(n, n - 1))
 
 
 def _require_theorem_regime(params: ProblemParams) -> None:
@@ -117,14 +115,12 @@ def classify_positive(params: ProblemParams) -> RegimeVerdict:
     solution.
     """
     _require_theorem_regime(params)
-    n = params.n
+    crit = critical_exponents(params.n)
     p, q = _exact(params.p), _exact(params.q)
-    p_f = 1 + Fraction(2, n)
-    q_f = 1 + Fraction(1, n + 1)
-    if p <= p_f:
+    if p <= crit.p_fujita:
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "p <= p_F = 1 + 2/n",
                              "positive-data blow-up (source branch)")
-    if q <= q_f:
+    if q <= crit.q_fujita:
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "q <= 1 + 1/(n+1)",
                              "positive-data blow-up (gradient branch)")
     return RegimeVerdict(Verdict.GLOBAL_FOR_SMALL_DATA,
@@ -145,21 +141,20 @@ def classify_mean_nonneg(params: ProblemParams,
     _require_theorem_regime(params)
     if not params.q > 1:
         raise ValueError("nonnegative-mean classification requires q > 1")
-    n = params.n
+    crit = critical_exponents(params.n)
     p, q = _exact(params.p), _exact(params.q)
-    p_f = 1 + Fraction(2, n)
-    q_f = 1 + Fraction(1, n + 1)
-    if p <= p_f:
+    if p <= crit.p_fujita:
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "p <= p_F = 1 + 2/n",
                              "nonnegative-mean blow-up (source branch)")
-    if (q - 1) * (n * p - 1) <= 1:
+    # p > p_F here, so np - 1 > 0 and this is exactly (q-1)(np-1) <= 1
+    if q <= crit.q_one_of_p(p):
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "(q-1)(np-1) <= 1",
                              "nonnegative-mean blow-up (gradient branch)")
-    if assume_nonnegative and q > q_f:
+    if assume_nonnegative and q > crit.q_fujita:
         return RegimeVerdict(Verdict.GLOBAL_FOR_SMALL_DATA,
                              "p > p_F and q > 1 + 1/(n+1) (nonnegative data asserted)",
                              "positive-data global existence for small data")
-    if q <= q_f:
+    if q <= crit.q_fujita:
         cond = ("open question: q in (1 + 1/(np-1), 1 + 1/(n+1)] with p > p_F "
                 "is not covered for sign-changing data of nonnegative mean")
     else:
@@ -183,10 +178,9 @@ def classify_inhomogeneous(params: ProblemParams,
         raise ValueError("inhomogeneous classification requires n >= 2")
     if not params.q > 1:
         raise ValueError("inhomogeneous classification requires q > 1")
-    n = params.n
+    crit = critical_exponents(params.n)
     p, q = _exact(params.p), _exact(params.q)
-    p_star: Union[Fraction, float] = math.inf if n == 2 else Fraction(n, n - 2)
-    q_star = Fraction(n, n - 1)
+    p_star, q_star = crit.p_star, crit.q_star
     if positive_mass_forcing:
         if p < p_star:
             return RegimeVerdict(Verdict.BLOW_UP_ALL, "p < n/(n-2) with forcing of positive mass",
@@ -194,7 +188,7 @@ def classify_inhomogeneous(params: ProblemParams,
         if q < q_star:
             return RegimeVerdict(Verdict.BLOW_UP_ALL, "q < n/(n-1) with forcing of positive mass",
                                  "forced blow-up (gradient branch)")
-    if n >= 3 and p > p_star and q > q_star:
+    if params.n >= 3 and p > p_star and q > q_star:
         return RegimeVerdict(Verdict.GLOBAL_FOR_SMALL_DATA,
                              "n >= 3, p > n/(n-2) and q > n/(n-1)",
                              "forced global existence for a constructed forcing")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,37 @@ def test_gaussian_certificate_refuses_bad_regime():
         gaussian_certificate(1, 2, 2, 1)
     with pytest.raises(ValueError, match="q <="):
         gaussian_certificate(1, 4, 1.3, 1)
+
+
+def _floats_around(x):
+    """The largest float <= x and the smallest float > x."""
+    f = float(x)
+    if Fraction(f) > x:
+        return math.nextafter(f, -math.inf), f
+    return f, math.nextafter(f, math.inf)
+
+
+def _refusal(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("build, dims, threshold, varies", [
+    (gaussian_certificate, range(1, 21), lambda n: 1 + Fraction(2, n), "p"),
+    (gaussian_certificate, range(1, 21), lambda n: 1 + Fraction(1, n + 1), "q"),
+    (stationary_certificate, range(3, 21), lambda n: Fraction(n, n - 2), "p"),
+    (stationary_certificate, range(3, 21), lambda n: Fraction(n, n - 1), "q"),
+], ids=["gaussian-p_F", "gaussian-q_F", "stationary-n/(n-2)", "stationary-n/(n-1)"])
+def test_certificate_hypotheses_compare_exactly(build, dims, threshold, varies):
+    # a float just above an exact threshold passes the hypothesis (it may
+    # still be refused, for its own reason); one at or below it fails it
+    for n in dims:
+        for value, fails in zip(_floats_around(threshold(n)), (True, False)):
+            args = (n, value, 3.0, 1.0) if varies == "p" else (n, 5.0, value, 1.0)
+            assert ("hypothesis failed" in _refusal(build, *args)) is fails, (n, value)
 
 
 def test_residual_negative_when_eps_doubled():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,8 @@ from fujitalab import cli
 from fujitalab.cli import (ConfigError, build_forcing_field, main,
                            parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
-from fujitalab.grid import sample_profile
+from fujitalab.grid import Field, sample_profile
+from fujitalab.solver import SolveStatus
 
 
 SCAN_2X2 = ["scan", "--n", "1", "--p-range", "4", "6", "--q-range", "1.4", "1.8",
@@ -207,6 +209,13 @@ def test_table_cli(capsys):
     assert "1.5" in text
 
 
+def test_table_prints_the_nearest_float_of_each_exact_threshold(capsys):
+    assert main(["table", "--n", "3"]) == 0
+    text = capsys.readouterr().out
+    assert "1.6666666666666667" in text  # 5/3, not 1.0 + 2.0/3
+    assert "1.6666666666666665" not in text
+
+
 @pytest.mark.parametrize("command", ["run", "certify", "scan", "table"])
 def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch,
                                                        command):
@@ -269,6 +278,45 @@ def test_scan_soundness_failure_is_loud(tmp_path, monkeypatch):
                  "--q-range", "2", "2", "--steps", "1",
                  "--out", str(tmp_path / "scan_bad")])
     assert code == 3
+
+
+# argparse keeps the last occurrence of a repeated option
+SCAN_GATE = SCAN_2X2 + ["--budget", "0.5", "--grid-m", "60"]
+
+
+def test_scan_gate_fails_a_certified_point_that_blows_up(tmp_path, capsys, monkeypatch):
+    real = cli.run_batch
+
+    def blowing_up(params, u0s, config):
+        return [dataclasses.replace(outcome, status=SolveStatus.BLOW_UP)
+                for outcome in real(params, u0s, config)]
+
+    monkeypatch.setattr(cli, "run_batch", blowing_up)
+    out = tmp_path / "scan"
+    assert main(SCAN_GATE + ["--out", str(out)]) == 3
+    assert "scan is unsound" in capsys.readouterr().err
+    rows = json.loads((out / "scan.json").read_text())["points"]
+    assert sum(row["verdict_numeric"] == "BlowUp(CONTRADICTS_CERTIFICATE)"
+               for row in rows) == 2
+    assert (out / "scan.csv").read_text().count("BlowUp(CONTRADICTS_CERTIFICATE)") == 2
+
+
+def test_scan_leaves_a_certified_point_it_cannot_dominate_unresolved(tmp_path,
+                                                                     monkeypatch):
+    real = cli.gaussian_supersolution
+
+    def below_u(cert, t, grid):
+        # the data 0.9 z(0) are built from the true z; every later z lies below u
+        z = real(cert, t, grid)
+        return z if t == 0.0 else Field(grid, z.values - 1.0)
+
+    monkeypatch.setattr(cli, "gaussian_supersolution", below_u)
+    out = tmp_path / "scan"
+    assert main(SCAN_GATE + ["--out", str(out)]) == 0
+    rows = json.loads((out / "scan.json").read_text())["points"]
+    certified = [row for row in rows if row["certificate_eps"] is not None]
+    assert len(certified) == 2
+    assert all(row["verdict_numeric"] == "unresolved" for row in certified)
 
 
 def test_scan_csv_deterministic_format():

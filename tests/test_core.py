@@ -40,6 +40,34 @@ def test_exponents_reject_bad_dimension():
         critical_exponents(-2)
 
 
+def test_exponents_are_exact_rationals():
+    for n in range(1, 344):
+        crit = critical_exponents(n)
+        assert crit.p_fujita == 1 + Fraction(2, n)
+        assert crit.q_fujita == 1 + Fraction(1, n + 1)
+        if n == 1:
+            assert crit.p_star is None and crit.q_star is None
+        else:
+            assert crit.p_star == (math.inf if n == 2 else Fraction(n, n - 2))
+            assert crit.q_star == Fraction(n, n - 1)
+        for p in (4.0, 1.1, Fraction(7, 3)):
+            assert crit.q_one_of_p(p) == 1 + 1 / (n * Fraction(p) - 1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["p", "q", "b"])
+def test_problem_params_refuse_a_non_finite_parameter(field, value):
+    kwargs = {"n": 1, "p": 4, "q": 2, "b": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ProblemParams(**kwargs)
+
+
+def test_problem_params_accept_ints_and_fractions_of_any_size():
+    params = ProblemParams(n=1, p=10 ** 400, q=Fraction(10 ** 400, 3), b=10 ** 400)
+    assert classify_positive(params).verdict is Verdict.GLOBAL_FOR_SMALL_DATA
+    assert classify_mean_nonneg(params).verdict is Verdict.INCONCLUSIVE
+
+
 def test_classify_positive_examples():
     v = classify_positive(ProblemParams(n=1, p=2, q=2))
     assert v.verdict is Verdict.BLOW_UP_ALL

@@ -508,3 +508,19 @@ def test_run_batch_rejects_mixed_problems():
     with pytest.raises(ValueError, match="one grid"):
         run_batch([ProblemParams(n=1, p=3, q=2)] * 2,
                   [u0s[0], gaussian_data(RadialGrid(1, 12.0, 300), [0.1])[0]], cfg)
+
+
+@pytest.mark.parametrize("columns, forcing_m, kaplan_R, message", [
+    (2, None, None, "one initial field per problem"),
+    (1, 300, None, "different grids"),
+    (1, None, 13.0, "kaplan_R exceeds the truncation radius"),
+], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L"])
+def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
+    u0s = gaussian_data(RadialGrid(1, 12.0, 200), [0.1])
+    h = None
+    if forcing_m is not None:
+        other = RadialGrid(1, 12.0, forcing_m)
+        h = Field(other, np.zeros_like(other.nodes))
+    with pytest.raises(ValueError, match=message):
+        run_batch([ProblemParams(n=1, p=3, q=2)] * columns, u0s,
+                  SolveConfig(t_end=0.1, kaplan_R=kaplan_R), h)
