@@ -113,6 +113,8 @@ def kaplan_radius(p: float, ell: float, lambda1: float) -> float:
 _LATTICE_R_MAX = 12.0
 _LATTICE_T_MAX = 100.0
 _LATTICE_POINTS = 400
+# time rows per block of the residual check (three buffers of 50 x 400 floats)
+_LATTICE_BLOCK_ROWS = 50
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,38 @@ def supersolution_residual(cert: GaussianCertificate, times: Sequence[float],
     with z = eps (t+1)^(k - n/2) e^(-r^2/(4(t+1))); the heat kernel factor of
     z removes the z_t - Lap z bulk.  Written in z, no factor overflows where
     z itself is small (for large n or p).
+
+    The lattice is walked in blocks of ``_LATTICE_BLOCK_ROWS`` time rows
+    through three reused buffers; each point sees the same operations in
+    the same order as the whole-lattice expression, so the minimum is the
+    same to the bit, and a NaN anywhere still makes it NaN.
     """
-    t = np.asarray(list(times), dtype=float)[:, None]
-    r = grid.nodes[None, :]
-    s = t + 1.0
-    z = cert.eps * s ** (cert.k - cert.n / 2.0) * np.exp(-r * r / (4.0 * s))
-    res = cert.k * z / s - z ** cert.p - cert.b * (z * r / (2.0 * s)) ** cert.q
-    return float(res.min())
+    s = np.asarray(list(times), dtype=float)[:, None] + 1.0
+    amp = cert.eps * s ** (cert.k - cert.n / 2.0)
+    four_s, two_s = 4.0 * s, 2.0 * s
+    r = grid.nodes
+    neg_r2 = -r * r
+    shape = (min(_LATTICE_BLOCK_ROWS, len(s)), len(r))
+    z, res, grad = np.empty(shape), np.empty(shape), np.empty(shape)
+    minima = []
+    for lo in range(0, len(s), _LATTICE_BLOCK_ROWS):
+        rows = slice(lo, lo + _LATTICE_BLOCK_ROWS)
+        height = len(s[rows])
+        zb, rb, gb = z[:height], res[:height], grad[:height]
+        np.divide(neg_r2, four_s[rows], out=zb)
+        np.exp(zb, out=zb)
+        np.multiply(amp[rows], zb, out=zb)
+        np.multiply(cert.k, zb, out=rb)
+        rb /= s[rows]
+        np.multiply(zb, r, out=gb)
+        gb /= two_s[rows]
+        gb **= cert.q
+        gb *= cert.b
+        zb **= cert.p
+        rb -= zb
+        rb -= gb
+        minima.append(rb.min())
+    return float(np.min(minima))
 
 
 def gradient_constant(q: float, b: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .certificates import (ForcingSpec, certificate_to_json,
                            gaussian_certificate, gaussian_supersolution,
                            stationary_certificate)
-from .core import (ProblemParams, Verdict, classify_positive,
+from .core import (ProblemParams, RegimeVerdict, Verdict, classify_positive,
                    critical_exponents)
 from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
@@ -328,10 +328,9 @@ def _thread_count() -> int:
     return cap
 
 
-def _scan_row(params: ProblemParams) -> dict:
-    theory = classify_positive(params)
+def _scan_row(p: float, q: float, theory: RegimeVerdict) -> dict:
     return {
-        "p": params.p, "q": params.q,
+        "p": p, "q": q,
         "verdict_theory": theory.verdict.value,
         "triggered_condition": theory.triggered_condition,
         "verdict_numeric": "unresolved",
@@ -341,10 +340,11 @@ def _scan_row(params: ProblemParams) -> dict:
 
 
 def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
-                budget: float) -> dict:
-    """The scan row of one BlowUpAll point, confirmed by its own ``run``."""
+                budget: float, theory: RegimeVerdict) -> dict:
+    """The scan row of one BlowUpAll point (``theory`` is its classification),
+    confirmed by its own ``run``."""
     params = ProblemParams(n=n, p=p, q=q, b=b)
-    row = _scan_row(params)
+    row = _scan_row(p, q, theory)
     u0 = sample_profile(ProfileSpec.gaussian(1.0), RadialGrid(n, 12.0, grid_m))
     u0.values[-1] = 0.0
     config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
@@ -363,26 +363,27 @@ def _scan_global_points(n: int, points, b: float, grid_m: int,
     """The scan rows of certified-global points, confirmed together by one
     ``run_batch`` from the data 0.9 z(0) that each point's gaussian
     certificate z dominates (a point whose step is rejected splits off from
-    the others and goes on from where it stood).  A point whose certificate
-    is refused stays unresolved and is not run."""
+    the others and goes on from where it stood).  Each point is a triple
+    (p, q, classification).  A point whose certificate is refused stays
+    unresolved and is not run."""
     grid = RadialGrid(n, 12.0, grid_m)
     config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
                          dt_max=5e-3, trace_stride=20, store_fields=True)
-    rows, params, certs = [], [], []
-    for p, q in points:
-        prm = ProblemParams(n=n, p=p, q=q, b=b)
+    rows, certified, certs = [], [], []
+    for p, q, theory in points:
         try:
             certs.append(gaussian_certificate(n, p, q, b))
-            params.append(prm)
+            certified.append((p, q, theory))
         except ValueError:
-            rows.append(_scan_row(prm))
+            rows.append(_scan_row(p, q, theory))
     u0s = [Field(grid, 0.9 * gaussian_supersolution(cert, 0.0, grid).values)
            for cert in certs]
     for u0 in u0s:
         u0.values[-1] = 0.0
+    params = [ProblemParams(n=n, p=p, q=q, b=b) for p, q, _ in certified]
     outcomes = run_batch(params, u0s, config)
-    return rows + [_global_verdict(_scan_row(prm), cert, outcome, config)
-                   for prm, cert, outcome in zip(params, certs, outcomes)]
+    return rows + [_global_verdict(_scan_row(*point), cert, outcome, config)
+                   for point, cert, outcome in zip(certified, certs, outcomes)]
 
 
 def _global_verdict(row: dict, cert, outcome, config: SolveConfig) -> dict:
@@ -456,8 +457,9 @@ def cmd_scan(args) -> int:
 
     global_points, blowup_points = [], []
     for p, q in points:
-        verdict = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b)).verdict
-        (blowup_points if verdict is Verdict.BLOW_UP_ALL else global_points).append((p, q))
+        theory = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b))
+        (blowup_points if theory.verdict is Verdict.BLOW_UP_ALL
+         else global_points).append((p, q, theory))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     workers = max(1, _thread_count())
@@ -466,7 +468,7 @@ def cmd_scan(args) -> int:
         batch = pool.submit(_scan_global_points, args.n, global_points, args.b,
                             args.grid_m, args.budget)
         singles = [pool.submit(_scan_point, args.n, p, q, args.b, args.grid_m,
-                               args.budget) for p, q in blowup_points]
+                               args.budget, theory) for p, q, theory in blowup_points]
         results = batch.result() + [f.result() for f in singles]
     results.sort(key=lambda row: (row["p"], row["q"]))
     (out / "scan.csv").write_text(scan_csv(results), encoding="utf-8")

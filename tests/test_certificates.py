@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +257,48 @@ def test_residual_single_term_tight_case():
     grid = RadialGrid(n, 12.0, 398)
     times = np.linspace(0.0, 100.0, 400)
     assert supersolution_residual(cert, times, grid) >= -1e-14
+
+
+def _lattice_residual_reference(cert, times, grid):
+    """The whole-lattice expression the blocked residual must reproduce."""
+    t = np.asarray(list(times), dtype=float)[:, None]
+    r = grid.nodes[None, :]
+    s = t + 1.0
+    z = cert.eps * s ** (cert.k - cert.n / 2.0) * np.exp(-r * r / (4.0 * s))
+    res = cert.k * z / s - z ** cert.p - cert.b * (z * r / (2.0 * s)) ** cert.q
+    return float(res.min())
+
+
+@pytest.mark.parametrize("n, p, q, b", [(1, 4.0, 2.0, 1.0), (1, 5.0, 1.55, 1.0),
+                                        (3, 2.0, 2.0, 0.5), (2, 2.5, 1.7, 50.0),
+                                        (8, 1.4, 1.3, 0.01), (5, 6.0, 3.5, 1e2)])
+@pytest.mark.parametrize("count", [2, 7, 400, 401])
+def test_blocked_residual_equals_the_whole_lattice_bit_for_bit(n, p, q, b, count):
+    # 7 and 401 rows end in a partial block; 2 is the late spot check's size
+    cert = gaussian_certificate(n, p, q, b)
+    grid = RadialGrid(n, 12.0, 398)
+    times = np.linspace(0.0, 400.0, count)
+    assert supersolution_residual(cert, times, grid) == \
+        _lattice_residual_reference(cert, times, grid)
+
+
+def test_blocked_residual_propagates_nan():
+    cert = dataclasses.replace(gaussian_certificate(1, 4, 2, 1), eps=math.nan)
+    grid = RadialGrid(1, 12.0, 398)
+    assert math.isnan(supersolution_residual(cert, np.linspace(0.0, 100.0, 400), grid))
+
+
+def test_gaussian_certificate_traced_peak_stays_below_1_5_mb():
+    # the lattice is checked in row blocks; the whole-lattice temporaries
+    # of 400 x 400 floats peaked near 5 MB
+    gaussian_certificate(1, 5.0, 1.55, 1.0)  # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        gaussian_certificate(1, 5.0, 1.55, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_gaussian_supersolution_field_values():

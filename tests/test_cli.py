@@ -15,12 +15,18 @@ from fujitalab import cli
 from fujitalab.cli import (ConfigError, build_forcing_field, main,
                            parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
+from fujitalab.core import ProblemParams, classify_positive
 from fujitalab.grid import Field, sample_profile
 from fujitalab.solver import SolveStatus
 
 
 SCAN_2X2 = ["scan", "--n", "1", "--p-range", "4", "6", "--q-range", "1.4", "1.8",
             "--steps", "2", "--budget", "1.0", "--grid-m", "200"]
+
+
+def theory(p, q):
+    """The classification a scan of n = 1, b = 1 hands to its point tasks."""
+    return classify_positive(ProblemParams(n=1, p=p, q=q, b=1.0))
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -249,14 +255,16 @@ def test_scan_empty_range(tmp_path):
 
 
 def test_scan_point_global_certified():
-    (row,) = _scan_global_points(1, [(4.0, 2.0)], 1.0, grid_m=200, budget=2.0)
+    (row,) = _scan_global_points(1, [(4.0, 2.0, theory(4.0, 2.0))], 1.0,
+                                 grid_m=200, budget=2.0)
     assert row["verdict_theory"] == "GlobalForSmallData"
     assert row["verdict_numeric"] == "DominatedToHorizon"
     assert row["certificate_eps"] > 0
 
 
 def test_scan_point_blowup_confirmed():
-    row = _scan_point(1, 2.0, 2.0, 1.0, grid_m=200, budget=50.0)
+    row = _scan_point(1, 2.0, 2.0, 1.0, grid_m=200, budget=50.0,
+                      theory=theory(2.0, 2.0))
     assert row["verdict_theory"] == "BlowUpAll"
     assert row["verdict_numeric"] == "BlowUp"
     assert row["t_star"] > 0
@@ -271,7 +279,7 @@ def test_scan_soundness_failure_is_loud(tmp_path, monkeypatch):
                  "triggered_condition": "x", "t_star": None,
                  "certificate_eps": 0.01,
                  "verdict_numeric": "BlowUp(CONTRADICTS_CERTIFICATE)"}
-                for p, q in points]
+                for p, q, _ in points]
 
     monkeypatch.setattr(cli_mod, "_scan_global_points", contradictory)
     code = main(["scan", "--n", "1", "--p-range", "4", "4",
@@ -336,11 +344,24 @@ def test_scan_rows_equal_per_point_rows(tmp_path):
     assert main(SCAN_2X2 + ["--out", str(out)]) == 0
     rows = json.loads((out / "scan.json").read_text())["points"]
     # q = 1.8 lies above q_F = 3/2 (n = 1): those points are certified global
-    expected = [_scan_global_points(1, [(p, q)], 1.0, 200, 1.0)[0] if q > 1.5
-                else _scan_point(1, p, q, 1.0, 200, 1.0)
+    expected = [_scan_global_points(1, [(p, q, theory(p, q))], 1.0, 200, 1.0)[0]
+                if q > 1.5 else _scan_point(1, p, q, 1.0, 200, 1.0, theory(p, q))
                 for p in (4.0, 6.0) for q in (1.4, 1.8)]
     assert rows == json.loads(json.dumps(expected))
     assert sum(row["verdict_numeric"] == "DominatedToHorizon" for row in rows) == 2
+
+
+def test_scan_classifies_each_point_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.classify_positive
+
+    def counted(params):
+        calls.append((params.p, params.q))
+        return real(params)
+
+    monkeypatch.setattr(cli, "classify_positive", counted)
+    assert main(SCAN_2X2 + ["--out", str(tmp_path / "scan")]) == 0
+    assert sorted(calls) == [(p, q) for p in (4.0, 6.0) for q in (1.4, 1.8)]
 
 
 @pytest.mark.parametrize("flag, value", [
