@@ -7,8 +7,8 @@ sup norm by more than ``growth_cap`` relative; else dt grows 1.2x up to ``dt_max
 
 The implicit matrix I - theta dt A depends on the step only through dt,
 and dt sits at dt_max for long stretches of a settled run, so an
-``ImexStepper`` keeps the LU factors of the last dt and refactors only when
-dt changes.  The solve from kept factors is bit-identical to refactoring.
+``ImexStepper`` keeps the LU factors of a dt that repeats; a dt used once
+takes one ``dgtsv`` call instead, with the same bits.
 
 ``_step`` advances a (K, M+2) block of fields, one per row, with one
 reaction assembly at the M+1 unknowns and one multi-column solve;
@@ -31,9 +31,11 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
 from scipy.linalg import solve_banded  # noqa: F401
 
@@ -116,8 +118,8 @@ class SolveOutcome:
 class ImexStepper:
     """The implicit half of the theta scheme on one grid.
 
-    Holds the banded Laplacian A (boundary node eliminated) and the LU
-    factors of I - theta dt A for the last dt it solved with.
+    Holds the banded Laplacian A (boundary node eliminated), the last dt it
+    solved with, and the LU factors of I - theta dt A once that dt repeats.
     """
 
     def __init__(self, grid: RadialGrid, theta: float) -> None:
@@ -130,12 +132,20 @@ class ImexStepper:
     def solve(self, dt: float, b: np.ndarray) -> np.ndarray:
         """x with (I - theta dt A) x = b, one system per column of b;
         ``b`` is overwritten when it is Fortran-contiguous."""
-        if dt != self._dt:
-            a = -self.theta * dt * self.ab
-            a[1] += 1.0
+        if dt == self._dt and self._lu is not None:
+            return banded_lu_solve(self._lu, b)
+        a = -self.theta * dt * self.ab
+        a[1] += 1.0
+        if dt == self._dt:  # a repeat: its factors serve this and later solves
             self._lu = banded_lu(a)
-            self._dt = dt
-        return banded_lu_solve(self._lu, b)
+            return banded_lu_solve(self._lu, b)
+        # a miss: dgtsv pivots and rounds as dgttrf + dgttrs do, and keeps nothing
+        self._dt, self._lu = dt, None
+        *_, x, info = dgtsv(a[2, :-1], a[1], a[0, 1:], b, overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        if info != 0:
+            raise LinAlgError("singular matrix")
+        return x
 
 
 def step(u: Field, dt: float, params: ProblemParams) -> Field:
@@ -233,9 +243,14 @@ class _Block:
 
 
 def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
-              config: SolveConfig, h: Optional[Field] = None) -> List[SolveOutcome]:
+              config: SolveConfig, h: Optional[Field] = None, *,
+              watch: Optional[Callable] = None) -> List[SolveOutcome]:
     """``run`` for problems that differ only in p and q, advanced in
     lockstep; returns one outcome per problem, in order.
+
+    ``watch(k, t, row)``, when given, sees column k's field at every trace
+    record, where and when ``store_fields`` would take a snapshot; ``row``
+    is a view into the running block, so the callee must not keep it.
 
     A block of columns whose lone runs are in one state advances as one
     (K, M+2) array per step: one reaction assembly and one multi-column
@@ -273,11 +288,14 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
         return Reaction(grid, [params_list[k] for k in cols], h)
 
     def observe(b: _Block, dt: float) -> None:
-        """Append a trace record, and a snapshot if fields are stored, per row of b."""
+        """Append a trace record, and a snapshot if fields are stored, per row of b;
+        show each row to ``watch``."""
         for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, pair), b.v):
             traces[k].append(rec)
             if config.store_fields:
                 snapshots[k].append((b.t, Field(grid, row.copy())))
+            if watch is not None:
+                watch(k, b.t, row)
 
     def leave(b: _Block, ends: Dict[int, Optional[SolveStatus]]) -> _Block:
         """End the rows in ``ends`` (None: at the step floor); return the rest."""

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ from fujitalab.cli import (ConfigError, build_forcing_field, main,
                            parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
 from fujitalab.core import ProblemParams, classify_positive
-from fujitalab.grid import Field, sample_profile
-from fujitalab.solver import SolveStatus
+from fujitalab.certificates import gaussian_certificate
+from fujitalab.grid import Field, RadialGrid, sample_profile
+from fujitalab.solver import (SolveConfig, SolveStatus, comparison_tolerance,
+                              run_batch)
 
 
 SCAN_2X2 = ["scan", "--n", "1", "--p-range", "4", "6", "--q-range", "1.4", "1.8",
@@ -295,9 +298,9 @@ SCAN_GATE = SCAN_2X2 + ["--budget", "0.5", "--grid-m", "60"]
 def test_scan_gate_fails_a_certified_point_that_blows_up(tmp_path, capsys, monkeypatch):
     real = cli.run_batch
 
-    def blowing_up(params, u0s, config):
+    def blowing_up(params, u0s, config, **kw):
         return [dataclasses.replace(outcome, status=SolveStatus.BLOW_UP)
-                for outcome in real(params, u0s, config)]
+                for outcome in real(params, u0s, config, **kw)]
 
     monkeypatch.setattr(cli, "run_batch", blowing_up)
     out = tmp_path / "scan"
@@ -325,6 +328,103 @@ def test_scan_leaves_a_certified_point_it_cannot_dominate_unresolved(tmp_path,
     certified = [row for row in rows if row["certificate_eps"] is not None]
     assert len(certified) == 2
     assert all(row["verdict_numeric"] == "unresolved" for row in certified)
+
+
+def posthoc_global_rows(n, points, b, grid_m, budget):
+    """Reference for ``_scan_global_points``: run the certified points with
+    every snapshot stored, then check each snapshot against z(t) plus the
+    comparison tolerance after the run, stopping at a column's first miss."""
+    grid = RadialGrid(n, 12.0, grid_m)
+    config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
+                         dt_max=5e-3, trace_stride=20, store_fields=True)
+    tol = comparison_tolerance(grid, config)
+    rows, certified, certs = [], [], []
+    for p, q, verdict in points:
+        try:
+            certs.append(gaussian_certificate(n, p, q, b))
+            certified.append((p, q, verdict))
+        except ValueError:
+            rows.append(cli._scan_row(p, q, verdict))
+    u0s = [Field(grid, 0.9 * cli.gaussian_supersolution(cert, 0.0, grid).values)
+           for cert in certs]
+    for u0 in u0s:
+        u0.values[-1] = 0.0
+    outcomes = run_batch([ProblemParams(n=n, p=p, q=q, b=b) for p, q, _ in certified],
+                         u0s, config)
+    for point, cert, outcome in zip(certified, certs, outcomes):
+        row = cli._scan_row(*point)
+        row["certificate_eps"] = cert.eps
+        dominated = outcome.status is SolveStatus.REACHED_HORIZON
+        if dominated:
+            for t_snap, u_snap in outcome.snapshots:
+                z = cli.gaussian_supersolution(cert, t_snap, grid)
+                if np.any(u_snap.values > z.values + tol):
+                    dominated = False
+                    break
+        if outcome.status is SolveStatus.BLOW_UP:
+            row["verdict_numeric"] = "BlowUp(CONTRADICTS_CERTIFICATE)"
+        elif dominated:
+            row["verdict_numeric"] = "DominatedToHorizon"
+        rows.append(row)
+    return rows
+
+
+def test_scan_checks_domination_as_the_post_hoc_snapshot_loop_did(monkeypatch):
+    real = cli.gaussian_supersolution
+    calls = []
+
+    def lowered_for_p5(cert, t, grid):
+        # z(t) of the p = 5 certificate lies below u after t = 0, as in the
+        # test above; the other certificates are left as they are
+        calls.append(cert.p)
+        z = real(cert, t, grid)
+        return z if t == 0.0 or cert.p != 5.0 else Field(grid, z.values - 1.0)
+
+    monkeypatch.setattr(cli, "gaussian_supersolution", lowered_for_p5)
+    # the 2x2 lattice, whose q = 1.4 certificates are refused, and (5, 1.8)
+    points = [(p, q, theory(p, q)) for p, q in
+              [(4.0, 1.4), (4.0, 1.8), (6.0, 1.4), (6.0, 1.8), (5.0, 1.8)]]
+    streamed = _scan_global_points(1, points, 1.0, 60, 0.5)
+    streamed_calls, calls[:] = sorted(calls), []
+    assert streamed == posthoc_global_rows(1, points, 1.0, 60, 0.5)
+    assert streamed_calls == sorted(calls)  # the same domination checks
+    assert [(row["p"], row["q"], row["verdict_numeric"]) for row in streamed] == [
+        (4.0, 1.4, "unresolved"), (6.0, 1.4, "unresolved"),
+        (4.0, 1.8, "DominatedToHorizon"), (6.0, 1.8, "DominatedToHorizon"),
+        (5.0, 1.8, "unresolved")]
+    assert streamed[-1]["certificate_eps"] > 0
+
+
+def test_scan_global_points_keep_no_snapshots():
+    # what stays traced is one certificate's lattice, built one after another
+    points = [(p, q, theory(p, q)) for p in (4.0, 5.0, 6.0, 7.0) for q in (1.55, 1.6)]
+    _scan_global_points(1, points[:1], 1.0, 300, 5.0)  # warm-up
+    tracemalloc.start()
+    try:
+        rows = _scan_global_points(1, points, 1.0, 300, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row["verdict_numeric"] for row in rows] == ["DominatedToHorizon"] * 8
+    assert peak < 0.9e6
+
+
+@pytest.mark.parametrize("env, cpus, has_affinity, expected", [
+    ("", 2, True, 2), ("", 64, True, 8), ("3", 2, True, 3), ("junk", 1, True, 1),
+    ("0", 3, True, 3), ("", 4, False, 4),
+], ids=["pinned-to-2", "capped-at-8", "env-wins", "env-junk", "env-zero",
+        "no-affinity-call"])
+def test_thread_count_counts_the_cpus_the_process_may_use(monkeypatch, env, cpus,
+                                                          has_affinity, expected):
+    monkeypatch.setenv("FUJITA_THREADS", env)
+    # the machine has 64 CPUs; the process may run on ``cpus`` of them
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64 if has_affinity else cpus)
+    if has_affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._thread_count() == expected
 
 
 def test_scan_csv_deterministic_format():
@@ -397,9 +497,9 @@ def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
     columns = []
     real = cli.run_batch
 
-    def spy(params, u0s, config):
+    def spy(params, u0s, config, **kw):
         columns.append(len(params))
-        return real(params, u0s, config)
+        return real(params, u0s, config, **kw)
 
     monkeypatch.setattr(cli, "run_batch", spy)
     out = tmp_path / "scan"

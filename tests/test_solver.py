@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from fujitalab import solver
 from fujitalab.core import ProblemParams
@@ -51,7 +52,7 @@ def test_stepper_solve_bitwise_equals_solve_banded(n, theta):
         a[1] += 1.0
         b = rng.standard_normal(g.M + 1)
         expected = solve_banded((1, 1), a, b)
-        for _ in range(2):  # a fresh factorization, then the cached one
+        for _ in range(3):  # a dgtsv miss, a fresh factorization, the kept one
             assert np.array_equal(stepper.solve(dt, b.copy()), expected)
 
 
@@ -118,13 +119,24 @@ def test_stepper_reuses_factors_of_a_repeated_dt(factored):
     stepper = ImexStepper(g, 1.0)
     b = np.linspace(0.0, 1.0, g.M + 1)
     first = stepper.solve(1e-3, b.copy())
+    assert factored == []  # a dt seen once is solved by dgtsv
     again = stepper.solve(1e-3, b.copy())
+    assert np.array_equal(stepper.solve(1e-3, b.copy()), again)
     assert len(factored) == 1
     assert np.array_equal(first, again)
-    # only the last dt's factors are kept: returning to 1e-3 refactors
+    # a new dt is solved without factors: returning to 1e-3 after 2e-3 is a miss
     stepper.solve(2e-3, b.copy())
     assert np.array_equal(stepper.solve(1e-3, b.copy()), first)
-    assert len(factored) == 3
+    assert len(factored) == 1
+
+
+def test_stepper_refuses_a_singular_system():
+    stepper = ImexStepper(RadialGrid(1, 1.0, 4), 1.0)
+    stepper.ab = np.zeros_like(stepper.ab)
+    stepper.ab[1] = 1.0  # I - dt A is the zero matrix at dt = 1
+    for _ in range(2):  # the dgtsv miss, then the repeat that factors
+        with pytest.raises(LinAlgError, match="singular matrix"):
+            stepper.solve(1.0, np.ones(5))
 
 
 def test_run_factors_each_distinct_dt_once(factored):
@@ -134,8 +146,9 @@ def test_run_factors_each_distinct_dt_once(factored):
     cfg = SolveConfig(t_end=1.0, dt_init=1e-3, dt_max=1e-2, trace_stride=10)
     out = run(ProblemParams(n=1, p=4, q=2, b=1.0), u0, None, cfg)
     assert out.status is SolveStatus.REACHED_HORIZON
-    # the ramp 1e-3 * 1.2^k to dt_max, plus at most one shortened last step
-    assert len(factored) == len(set(factored)) <= 15
+    # the ramp 1e-3 * 1.2^k and a shortened last step are each used once,
+    # so dgtsv solves them; only dt_max repeats, and it is factored once
+    assert factored == [1.0 - cfg.dt_max * solver.ImexStepper(g, 1.0).ab[1, 0]]
 
 
 def test_heat_reference_values():
@@ -434,17 +447,10 @@ def test_run_batch_splits_off_rejected_columns_without_rerunning_them(monkeypatc
         assert_same_outcome(got, run(prm, u0, None, cfg))
 
 
-def test_run_batch_columns_equal_run_on_mixed_batches(monkeypatch):
-    # tight growth caps and amplitudes over three decades make the columns
-    # of one batch part: some steps are rejected for a few columns only
-    parts = []
-    take = solver._Block.take
-
-    def spy(block, rows):
-        parts.append(0 < len(rows) < len(block.cols))
-        return take(block, rows)
-
-    monkeypatch.setattr(solver._Block, "take", spy)
+def mixed_batches():
+    """Six seeded batches whose columns part: tight growth caps and
+    amplitudes over three decades make some steps rejected for a few columns
+    only.  Yields (params, u0s, h, config) with fields stored."""
     rng = np.random.default_rng(8)
     for case in range(6):
         n = int(rng.integers(1, 4))
@@ -460,9 +466,42 @@ def test_run_batch_columns_equal_run_on_mixed_batches(monkeypatch):
                           theta_scheme=float(rng.choice([1.0, 0.5])),
                           trace_stride=int(rng.integers(1, 6)),
                           kaplan_R=3.0 if case % 3 == 0 else None, store_fields=True)
+        yield params, u0s, h, cfg
+
+
+def test_run_batch_columns_equal_run_on_mixed_batches(monkeypatch):
+    parts = []
+    take = solver._Block.take
+
+    def spy(block, rows):
+        parts.append(0 < len(rows) < len(block.cols))
+        return take(block, rows)
+
+    monkeypatch.setattr(solver._Block, "take", spy)
+    for params, u0s, h, cfg in mixed_batches():
         for got, prm, u0 in zip(run_batch(params, u0s, cfg, h), params, u0s):
             assert_same_outcome(got, run(prm, u0, h, cfg))
     assert any(parts)
+
+
+def test_run_batch_watch_sees_exactly_the_snapshots():
+    statuses = set()
+    for params, u0s, h, cfg in mixed_batches():
+        seen = [[] for _ in params]
+
+        def watch(k, t, row):
+            seen[k].append((t, row.tobytes()))
+
+        # the watched run stores no fields; its rows must be the stored run's
+        watched = run_batch(params, u0s, dataclasses.replace(cfg, store_fields=False), h,
+                            watch=watch)
+        stored = run_batch(params, u0s, cfg, h)
+        for got, want, rows in zip(watched, stored, seen):
+            assert got.snapshots is None
+            assert rows == [(t, u.values.tobytes()) for t, u in want.snapshots]
+            statuses.add(want.status)
+    # the batches end in every status, so every path that records is watched
+    assert statuses == set(SolveStatus)
 
 
 def test_run_batch_ends_a_column_at_the_blowup_threshold_in_place(monkeypatch):
