@@ -3,19 +3,15 @@ reference tables, with machine-readable CSV/JSON outputs.
 
 A scan confirms its certified-global points together in one lockstep
 ``run_batch`` (a point whose step is rejected splits off and goes on from
-where it stood) and each blow-up point with its own ``run``.  The batch and the
-blow-up points are tasks on a thread pool capped by FUJITA_THREADS; rows
-are gathered and sorted by (p, q), so outputs are byte-identical across
-thread counts.
+where it stood), then each blow-up point with its own ``run``, all in one
+thread; rows are sorted by (p, q), so outputs are byte-identical run to run.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -317,16 +313,9 @@ def cmd_certify(args) -> int:
     return 0
 
 
+# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
 def _thread_count() -> int:
-    raw = os.environ.get("FUJITA_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:  # the CPUs this process may run on, not the machine's
-        cap = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-    return cap
+    return 1
 
 
 def _scan_row(p: float, q: float, theory: RegimeVerdict) -> dict:
@@ -444,13 +433,8 @@ def cmd_scan(args) -> int:
         if bad:
             print(f"error: {message}", file=sys.stderr)
             return 2
-    if args.steps == 0:
-        ps, qs = [], []
-    elif args.steps == 1:
-        ps, qs = [float(args.p_range[0])], [float(args.q_range[0])]
-    else:
-        ps = [float(v) for v in np.linspace(args.p_range[0], args.p_range[1], args.steps)]
-        qs = [float(v) for v in np.linspace(args.q_range[0], args.q_range[1], args.steps)]
+    ps = [float(v) for v in np.linspace(*args.p_range, args.steps)]
+    qs = [float(v) for v in np.linspace(*args.q_range, args.steps)]
     points = [(p, q) for p in ps for q in qs]
     for p, q in points:
         if not (p > 1 and q >= 1):
@@ -465,14 +449,9 @@ def cmd_scan(args) -> int:
          else global_points).append((p, q, theory))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = max(1, _thread_count())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # the batch of global points, the longest task, is queued first
-        batch = pool.submit(_scan_global_points, args.n, global_points, args.b,
-                            args.grid_m, args.budget)
-        singles = [pool.submit(_scan_point, args.n, p, q, args.b, args.grid_m,
-                               args.budget, theory) for p, q, theory in blowup_points]
-        results = batch.result() + [f.result() for f in singles]
+    results = _scan_global_points(args.n, global_points, args.b, args.grid_m, args.budget)
+    results += [_scan_point(args.n, p, q, args.b, args.grid_m, args.budget, theory)
+                for p, q, theory in blowup_points]
     results.sort(key=lambda row: (row["p"], row["q"]))
     (out / "scan.csv").write_text(scan_csv(results), encoding="utf-8")
     doc = {

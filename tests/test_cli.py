@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -409,24 +410,6 @@ def test_scan_global_points_keep_no_snapshots():
     assert peak < 0.9e6
 
 
-@pytest.mark.parametrize("env, cpus, has_affinity, expected", [
-    ("", 2, True, 2), ("", 64, True, 8), ("3", 2, True, 3), ("junk", 1, True, 1),
-    ("0", 3, True, 3), ("", 4, False, 4),
-], ids=["pinned-to-2", "capped-at-8", "env-wins", "env-junk", "env-zero",
-        "no-affinity-call"])
-def test_thread_count_counts_the_cpus_the_process_may_use(monkeypatch, env, cpus,
-                                                          has_affinity, expected):
-    monkeypatch.setenv("FUJITA_THREADS", env)
-    # the machine has 64 CPUs; the process may run on ``cpus`` of them
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64 if has_affinity else cpus)
-    if has_affinity:
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-    else:
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    assert cli._thread_count() == expected
-
-
 def test_scan_csv_deterministic_format():
     rows = [
         {"p": 2.0, "q": 1.5, "verdict_theory": "BlowUpAll",
@@ -462,6 +445,19 @@ def test_scan_classifies_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "classify_positive", counted)
     assert main(SCAN_2X2 + ["--out", str(tmp_path / "scan")]) == 0
     assert sorted(calls) == [(p, q) for p in (4.0, 6.0) for q in (1.4, 1.8)]
+
+
+def test_scan_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("a scan starts no thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "scan"
+    assert main(SCAN_2X2 + ["--out", str(out)]) == 0
+    # the 2x2 lattice has both certified-global and blow-up points
+    rows = json.loads((out / "scan.json").read_text())["points"]
+    assert len(rows) == 4
+    assert {row["verdict_theory"] for row in rows} == {"BlowUpAll", "GlobalForSmallData"}
 
 
 @pytest.mark.parametrize("flag, value", [
