@@ -50,18 +50,28 @@ class ForcingSpec:
 # ---------------------------------------------------------------------------
 
 def kaplan_functional(u: Field, pair: Eigenpair) -> float:
-    """y = int_{B_R} u phi dx against the mass-1 principal eigenfunction.
+    """y = int_{B_R} u phi dx against the mass-1 principal eigenfunction, as
+    the sum of u times ``kaplan_weights``: u may live on a larger ball B_L,
+    R <= L, and must be finite at every node, also outside B_R."""
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("cannot integrate a non-finite field")
+    return float((u.values * kaplan_weights(u.grid, pair)).sum())
 
-    u may live on a larger ball B_L, R <= L; it is linearly interpolated
-    onto the eigenfunction grid.
-    """
-    if u.grid.n != pair.phi.grid.n:
+
+def kaplan_weights(grid: RadialGrid, pair: Eigenpair) -> np.ndarray:
+    """w on ``grid`` with int_{B_R} u phi = sum(u * w): phi times its own grid's
+    weights, each node's share spread onto the two nodes of ``grid`` that
+    linearly interpolate u there."""
+    if grid.n != pair.phi.grid.n:
         raise ValueError("field and eigenpair have different dimensions")
-    if pair.R > u.grid.L * (1.0 + 1e-12):
+    if pair.R > grid.L * (1.0 + 1e-12):
         raise ValueError("eigenpair ball exceeds the field's domain")
-    r_pair = pair.phi.grid.nodes
-    u_interp = np.interp(r_pair, u.grid.nodes, u.values)
-    return integrate(Field(pair.phi.grid, u_interp * pair.phi.values))
+    r = pair.phi.grid.nodes
+    i = np.minimum(np.floor(r / grid.h_r), grid.M).astype(np.intp)  # r = L: the last cell
+    frac = (r - grid.nodes[i]) / grid.h_r
+    c = pair.phi.values * pair.phi.grid.weights
+    return (np.bincount(i, c * (1.0 - frac), minlength=grid.M + 2)
+            + np.bincount(i + 1, c * frac, minlength=grid.M + 2))
 
 
 @dataclass(frozen=True)

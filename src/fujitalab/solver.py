@@ -12,7 +12,8 @@ takes one ``dgtsv`` call instead, with the same bits.
 
 ``_step`` advances a (K, M+2) block of fields, one per row, with one
 reaction assembly at the M+1 unknowns and one multi-column solve;
-``_record`` records a block with one reduction per monitored quantity.
+``_record`` records a block with one reduction per monitored quantity,
+each integral (the Kaplan y too) one weighted row sum on the run's grid.
 ``run_batch`` holds the one adaptive loop and takes every trace record and
 snapshot: it steps problems that differ only in p and q in lockstep and
 splits off the columns whose step is rejected, so each column has one
@@ -36,16 +37,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
-# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
-from scipy.linalg import solve_banded  # noqa: F401
 
-from .certificates import kaplan_functional
+from .certificates import kaplan_weights
 from .core import ProblemParams
 from .grid import Field, RadialGrid, _integrate_rows
-from .operators import (BandedLU, Eigenpair, Reaction, _boundary_gradient,
+from .operators import (BandedLU, Reaction, _boundary_gradient,
                         _gradient_rows, _laplacian_unknowns, banded_lu,
                         banded_lu_solve, laplacian_banded, principal_eigenpair)
-# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap it
+# no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap them
+from scipy.linalg import solve_banded  # noqa: F401
+from .certificates import kaplan_functional  # noqa: F401
 from .operators import rhs  # noqa: F401
 
 TRUNCATION_NOTE = (
@@ -83,6 +84,8 @@ class SolveConfig:
             raise ValueError("dt_max must be finite")
         if not self.growth_cap > 0:
             raise ValueError("growth_cap must be > 0")
+        if not (self.kaplan_R is None or 0 < self.kaplan_R < math.inf):
+            raise ValueError(f"kaplan_R must be finite and > 0, got {self.kaplan_R!r}")
 
 
 @dataclass(frozen=True)
@@ -182,9 +185,10 @@ def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
 
 
 def _record(t: float, dt: float, v: np.ndarray, grid: RadialGrid,
-            pair: Optional[Eigenpair]) -> List[TraceRecord]:
-    """One trace record at time t per row of the finite (K, M+2) block v."""
-    ys = [None if pair is None else kaplan_functional(Field(grid, row), pair) for row in v]
+            kaplan: Optional[np.ndarray]) -> List[TraceRecord]:
+    """One trace record at time t per row of the finite (K, M+2) block v;
+    ``kaplan`` is the run's ``kaplan_weights``, or None."""
+    ys = [None] * len(v) if kaplan is None else (v * kaplan).sum(axis=1).tolist()
     return [TraceRecord(t, dt, *values) for values in zip(
         np.max(v, axis=1).tolist(), np.min(v, axis=1).tolist(),
         _integrate_rows(np.abs(v), grid).tolist(), _integrate_rows(v, grid).tolist(),
@@ -204,8 +208,7 @@ def _finish(status: Optional[SolveStatus], params: ProblemParams,
     est = None if status is SolveStatus.REACHED_HORIZON else detect_blowup(trace, p)
     if status is None:
         suffix = _increasing_suffix(trace)
-        blew = (est is not None and len(suffix) >= 2 and suffix[0][1] > 0
-                and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0)
+        blew = est is not None and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0
         status = SolveStatus.BLOW_UP if blew else SolveStatus.STEP_FLOOR_STALL
     out = SolveOutcome(status=status, trace=trace, final_field=u, snapshots=snapshots)
     if status is SolveStatus.BLOW_UP:
@@ -272,8 +275,10 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     stepper = ImexStepper(grid, config.theta_scheme)
     if config.kaplan_R is not None and config.kaplan_R > grid.L:
         raise ValueError("kaplan_R exceeds the truncation radius")
-    pair = (None if config.kaplan_R is None
-            else principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2)))
+    if config.kaplan_R is not None and config.kaplan_R < grid.h_r:
+        raise ValueError(f"kaplan_R must be at least one grid cell, {grid.h_r!r}")
+    kaplan = (None if config.kaplan_R is None else kaplan_weights(
+        grid, principal_eigenpair(grid.n, config.kaplan_R, max(200, grid.M // 2))))
     threshold = config.blowup_threshold
     t_stop = config.t_end - 1e-14 * config.t_end
     v = np.stack([u.values for u in u0s])
@@ -290,7 +295,7 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     def observe(b: _Block, dt: float) -> None:
         """Append a trace record, and a snapshot if fields are stored, per row of b;
         show each row to ``watch``."""
-        for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, pair), b.v):
+        for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, kaplan), b.v):
             traces[k].append(rec)
             if config.store_fields:
                 snapshots[k].append((b.t, Field(grid, row.copy())))

@@ -1,6 +1,6 @@
 """The benchmark tracer (bench/tracer.py) wraps package attributes by name;
 every one it names must exist, or a traced benchmark run fails to start,
-and every one but the three known dead layers must still be reached."""
+and every one but the four known dead layers must still be reached."""
 import importlib
 import importlib.util
 import json
@@ -13,9 +13,10 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # layers that nothing in the package calls any more: the step assembles the
-# reaction through Reaction and solves through banded_lu_solve, and the scan
-# runs in one thread, so it asks for no worker count
-UNREACHED = {"operators.rhs", "solver.solve", "cli.scan.workers"}
+# reaction through Reaction and solves through banded_lu_solve, a trace
+# record takes the Kaplan y as a weighted row sum (kaplan_weights), and the
+# scan runs in one thread, so it asks for no worker count
+UNREACHED = {"operators.rhs", "solver.solve", "solver.kaplan", "cli.scan.workers"}
 
 
 def _load_tracer():

@@ -12,6 +12,7 @@ from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
                                     constructed_forcing, gaussian_certificate,
                                     gaussian_supersolution, gradient_constant,
                                     kaplan_functional, kaplan_radius,
+                                    kaplan_weights,
                                     ode_comparison, rate_exponents,
                                     stationary_certificate,
                                     supersolution_residual, time_cutoff,
@@ -75,6 +76,40 @@ def test_kaplan_functional_rejects_incompatible():
     small = RadialGrid(1, 2.0, 100)
     with pytest.raises(ValueError):
         kaplan_functional(Field(small, np.zeros_like(small.nodes)), pair)
+
+
+def interpolated_kaplan(u, pair):
+    """The Kaplan functional as interpolation onto the eigenpair grid,
+    then quadrature there."""
+    u_pair = np.interp(pair.phi.grid.nodes, u.grid.nodes, u.values)
+    return integrate(Field(pair.phi.grid, u_pair * pair.phi.values))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [300, 1200])
+@pytest.mark.parametrize("R", ["h_r", 3.0, "L"])
+def test_kaplan_weights_match_interpolation_then_quadrature(n, M, R):
+    g = RadialGrid(n, 12.0, M)
+    R = {"h_r": g.h_r, "L": g.L}.get(R, R)
+    pair = principal_eigenpair(n, R, max(200, M // 2))
+    w = kaplan_weights(g, pair)
+    rng = np.random.default_rng(100 * n + M)
+    for _ in range(4):
+        # nonnegative, as Kaplan's argument needs; rough from node to node
+        u = Field(g, np.abs(rng.standard_normal(g.nodes.shape))
+                  * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0)))
+        got = float((u.values * w).sum())
+        assert got == pytest.approx(interpolated_kaplan(u, pair), rel=4e-15, abs=0.0)
+        assert kaplan_functional(u, pair) == got
+
+
+def test_kaplan_functional_refuses_a_field_non_finite_outside_the_ball():
+    pair = principal_eigenpair(1, 3.0, 200)
+    g = RadialGrid(1, 12.0, 300)
+    u = Field(g, np.ones_like(g.nodes))
+    u.values[-1] = np.inf  # node M+1, r = L, outside B_3
+    with pytest.raises(ValueError, match="non-finite"):
+        kaplan_functional(u, pair)
 
 
 def test_ode_comparison_closed_forms():

@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from fujitalab import solver
 from fujitalab.core import ProblemParams
-from fujitalab.certificates import kaplan_functional
+from fujitalab.certificates import kaplan_functional, kaplan_weights
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
 from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
                                  laplacian_banded, principal_eigenpair, rhs)
@@ -342,7 +342,7 @@ def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
     pair = principal_eigenpair(n, 3.0, max(200, M // 2)) if kaplan else None
     rng = np.random.default_rng(K * n * M)
     v = rng.standard_normal((K, M + 2)) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0))
-    records = solver._record(0.25, 1e-3, v, g, pair)
+    records = solver._record(0.25, 1e-3, v, g, kaplan_weights(g, pair) if kaplan else None)
     assert len(records) == K
     for rec, row in zip(records, v):
         u = Field(g, row)
@@ -553,7 +553,8 @@ def test_run_batch_rejects_mixed_problems():
     (2, None, None, "one initial field per problem"),
     (1, 300, None, "different grids"),
     (1, None, 13.0, "kaplan_R exceeds the truncation radius"),
-], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L"])
+    (1, None, 1e-300, "kaplan_R must be at least one grid cell"),
+], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L", "kaplan_R-below-one-cell"])
 def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     u0s = gaussian_data(RadialGrid(1, 12.0, 200), [0.1])
     h = None
@@ -563,3 +564,9 @@ def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     with pytest.raises(ValueError, match=message):
         run_batch([ProblemParams(n=1, p=3, q=2)] * columns, u0s,
                   SolveConfig(t_end=0.1, kaplan_R=kaplan_R), h)
+
+
+@pytest.mark.parametrize("kaplan_R", [-1.0, 0.0, math.nan, math.inf])
+def test_solve_config_refuses_a_kaplan_radius_that_is_not_finite_and_positive(kaplan_R):
+    with pytest.raises(ValueError, match="kaplan_R must be finite and > 0"):
+        SolveConfig(kaplan_R=kaplan_R)
