@@ -331,7 +331,7 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
                            eps: Optional[float] = None) -> StationaryCertificate:
     """Construct the stationary certificate for the forced problem.
 
-    Requires n >= 3, p > n/(n-2) and q > n/(n-1), compared exactly
+    Requires b >= 0, n >= 3, p > n/(n-2) and q > n/(n-1), compared exactly
     (otherwise the admissible k-window is empty).  k sits at the window
     midpoint; eps is bisected so the decay margin stays 25% clear of zero,
     absorbing the grid evaluation of h > 0; an explicit eps is accepted as
@@ -340,6 +340,8 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
     p, q, b = float(p), float(q), float(b)
     if not all(map(math.isfinite, (p, q, b))):
         raise ValueError(f"need finite p, q, b; got p={p!r}, q={q!r}, b={b!r}")
+    if b < 0:  # the eps bisection needs a margin increasing in eps
+        raise ValueError(f"b must be >= 0, got b={b!r}")
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     if n < 3:

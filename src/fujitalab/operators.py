@@ -1,13 +1,16 @@
 """Discrete radial operators and the principal Dirichlet eigenpair.
 
-The radial Laplacian is u_rr + (n-1)/r u_r with the removable singularity
-at the center handled by the symmetric ghost-node limit
-Lap f(0) = n f_rr(0) = 2n (f_1 - f_0)/h^2;  second order is preserved and
-the stencil is exact for quadratics at every node.  It is written once, as
-the banded A of ``laplacian_banded`` on nodes 0..M, the unknowns of a time
-step, which the solver factors and ``_laplacian_unknowns`` applies.  The
-reaction and the centered |u_r| take nodes 0..M; the one-sided d/dr at the
-pinned boundary node is computed only where it is read.
+The radial Laplacian u_rr + (n-1)/r u_r is conservative: A = V^-1 S on nodes
+0..M, with V_i the exact volume of node i's shell r_{i-1/2} < r < r_{i+1/2}
+(the ball r < h/2 at the center) and S_{i,i+1} = r_{i+1/2}^(n-1)/h the flux
+between nodes i and i+1.  A is exact for quadratics, is the 1, -2, 1 stencil
+at n = 1, and has nonnegative off-diagonals for every n, so I - theta dt A is
+an M-matrix (an implicit step keeps u >= 0) and A is similar to a symmetric
+tridiagonal (one LAPACK call gives the eigenvalue).  It is written once, as
+the banded A of ``laplacian_banded``, which the solver factors and
+``_laplacian_unknowns`` applies.  The reaction and the centered |u_r| take
+nodes 0..M; the one-sided d/dr at the pinned boundary node is computed only
+where it is read.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import ProblemParams, Real
@@ -147,20 +150,23 @@ def laplacian_banded(grid: RadialGrid) -> Tuple[np.ndarray, float]:
     """Banded (1,1) form of the Laplacian on nodes 0..M (boundary eliminated).
 
     Returns (ab, c_boundary): ab in scipy solve_banded layout, and the
-    coefficient multiplying the fixed boundary value u_{M+1} in row M.
+    coefficient multiplying the fixed boundary value u_{M+1} in row M.  Row
+    i >= 1 is (S_{i,i+1}, S_{i,i-1})/V_i relative to r_{i+1/2}^(n-1), so no
+    power leaves the float range: c_plus = n/(h^2 (1 + (i-1/2)(1-rho))) and
+    c_minus = rho c_plus, rho = ((i-1/2)/(i+1/2))^(n-1); 1 - rho = 0 at n = 1.
     """
     h, n, m = grid.h_r, grid.n, grid.M + 1  # unknowns: nodes 0..M
     ab = np.zeros((3, m))
-    ri = grid.nodes[1:m]  # interior radii, nodes 1..M
-    c_minus = 1.0 / h ** 2 - (n - 1) / (2.0 * h * ri)
-    c_plus = 1.0 / h ** 2 + (n - 1) / (2.0 * h * ri)
+    i = np.arange(1, m)  # interior nodes 1..M
+    log_rho = (n - 1) * np.log1p(-2.0 / (2 * i + 1))
+    c_plus = n / (h ** 2 * (1.0 - (i - 0.5) * np.expm1(log_rho)))
+    c_minus = np.exp(log_rho) * c_plus
     ab[1, 0] = -2.0 * n / h ** 2
     ab[0, 1] = 2.0 * n / h ** 2
-    ab[1, 1:] = -2.0 / h ** 2
+    ab[1, 1:] = -(c_plus + c_minus)
     ab[2, 0:m - 1] = c_minus
     ab[0, 2:] = c_plus[:-1]
-    c_boundary = float(c_plus[-1])
-    return ab, c_boundary
+    return ab, float(c_plus[-1])
 
 
 BandedLU = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -206,47 +212,35 @@ class Eigenpair:
 
 
 def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
-    """Smallest Dirichlet eigenvalue/eigenfunction by inverse power iteration.
+    """Smallest Dirichlet eigenvalue and its eigenfunction, without iteration.
 
     Solves the radial problem -(phi'' + (n-1)/r phi') = lam phi, phi(R) = 0,
-    phi'(0) = 0 on the discrete Laplacian.  Iterates until the eigenvalue
-    estimate changes by at most 1e-14 relative twice in a row, or for 500
-    iterations, then demands the residual |Lap phi + lam phi| stay below
-    1e-6 max(1, lam) of phi's sup norm.
+    phi'(0) = 0 on the discrete Laplacian.  -A is similar to the symmetric
+    tridiagonal with diagonal -A_ii and off-diagonal sqrt(A_{i,i+1} A_{i+1,i}),
+    so one LAPACK bisection gives lam.  Two solves of (-A - sigma I) x = b,
+    sigma just below lam, from b = 1 and then from the first x, give phi; each
+    shrinks mode k by (lam - sigma)/(lam_k - sigma).  The residual
+    |Lap phi + lam phi| must stay below 1e-6 max(1, lam) of phi's sup norm.
     """
     if M < 100:
         raise ValueError("eigenpair grid needs M >= 100")
     grid = RadialGrid(n, float(R), M)
     neg = -laplacian_banded(grid)[0]  # -Lap is positive definite on Dirichlet functions
-    lu = banded_lu(neg)
-
-    x = 1.0 - (grid.nodes[:-1] / R) ** 2
-    x /= np.linalg.norm(x)
-    lam_prev = np.inf
-    lam = np.nan
-    stagnant = 0
-    for _ in range(500):
-        y = banded_lu_solve(lu, x)
-        y /= np.linalg.norm(y)
-        by = _banded_matvec(neg, y)
-        lam = float(y @ by)
-        x = y
-        stagnant = stagnant + 1 if abs(lam - lam_prev) <= 1e-14 * abs(lam) else 0
-        if stagnant >= 2:
-            break
-        lam_prev = lam
+    lam = float(eigvalsh_tridiagonal(neg[1], np.sqrt(neg[0, 1:] * neg[2, :-1]),
+                                     select="i", select_range=(0, 0))[0])
+    sigma = lam * (1.0 - 1e-6)  # below lam, so -A - sigma I is an M-matrix and x > 0
+    lu = banded_lu(neg - [[0.0], [sigma], [0.0]])
+    x = banded_lu_solve(lu, np.ones(M + 1))
+    x = banded_lu_solve(lu, x / np.max(np.abs(x)))
+    x /= x[np.argmax(np.abs(x))]  # sup norm 1, positive at the peak
     # the residual scales with lam, which grows as R^-2 on small balls
-    resid_rel = float(np.max(np.abs(_banded_matvec(neg, x) - lam * x))
-                      / (np.max(np.abs(x)) * max(1.0, lam)))
+    resid_rel = float(np.max(np.abs(_banded_matvec(neg, x) - lam * x)) / max(1.0, lam))
     if not resid_rel <= 1e-6:  # a NaN residual fails too
-        raise RuntimeError(f"eigenpair iteration did not converge "
-                           f"(500 iterations, residual {resid_rel:.2e})")
+        raise RuntimeError(f"eigenpair solve missed the eigenvector "
+                           f"(lam {lam!r}, residual {resid_rel:.2e})")
 
-    if x[0] < 0:
-        x = -x
     values = np.concatenate([x, [0.0]])
-    phi = Field(grid, values)
-    mass = integrate(phi)
+    mass = integrate(Field(grid, values))
     if not mass >= sys.float_info.min:
         raise ValueError(f"the eigenfunction of the ball R={R!r} in dimension n={n!r} has "
                          f"mass {mass!r}, which is not a positive normal float")

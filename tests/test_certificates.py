@@ -383,6 +383,13 @@ def test_stationary_certificate_refuses_empty_window():
         stationary_certificate(3, 4, 1.4, 1)  # q <= n/(n-1)
 
 
+@pytest.mark.parametrize("eps", [None, 0.03])
+def test_stationary_certificate_refuses_negative_b(eps):
+    # the eps bisection needs a margin increasing in eps, which b < 0 breaks
+    with pytest.raises(ValueError, match=r"b must be >= 0, got b=-0.01"):
+        stationary_certificate(3, 4, 2, -0.01, eps=eps)
+
+
 def test_stationary_certificate_rejects_too_large_eps():
     with pytest.raises(ValueError, match="margin"):
         stationary_certificate(3, 4, 2, 1, eps=0.05)

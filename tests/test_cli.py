@@ -195,10 +195,11 @@ def test_certify_refused_regime(capsys):
     ["--n", "343", "--p", "1.02", "--q", "1.01", "--kind", "stationary"],
     ["--n", "3", "--p", "4.5", "--q", "2", "--kind", "stationary", "--eps", "-0.01"],
     ["--n", "1", "--p", "4", "--q", "2", "--eps", "0.1"],
+    ["--n", "3", "--p", "4", "--q", "2", "--kind", "stationary", "--b=-0.01"],
 ], ids=["p-inf", "b-inf", "b-huge-eps-underflows", "n-0", "q-huge-C_grad-overflows",
         "stationary-p-inf", "stationary-q-huge-margin-overflows",
         "eps-bracket-does-not-close", "stationary-eps-bracket-does-not-close",
-        "stationary-eps-negative", "gaussian-eps-given"])
+        "stationary-eps-negative", "gaussian-eps-given", "stationary-b-negative"])
 def test_certify_refuses_a_certificate_it_cannot_verify(capsys, argv):
     # argparse keeps the last --kind
     assert main(["certify", "--kind", "gaussian"] + argv) == 2

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.optimize import brentq
+from scipy.special import jv
 
+from fujitalab import operators
 from fujitalab.core import ProblemParams
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
 from fujitalab.operators import (banded_lu, banded_lu_solve,
-                                 gradient_magnitude, laplacian,
+                                 gradient_magnitude, laplacian, laplacian_banded,
                                  principal_eigenpair, rhs)
 
 
@@ -42,6 +45,52 @@ def test_laplacian_exact_for_quadratics(n, M):
     f = Field(g, 1.0 - g.nodes ** 2 / g.L ** 2)
     lap = laplacian(f)
     assert np.max(np.abs(lap.values - (-2.0 * n / g.L ** 2))) < 1e-10
+
+
+def ghost_node_banded(grid):
+    """The nonconservative stencil 1/h^2 -+ (n-1)/(2 h r_i), with the ghost-node
+    center row 2n (f_1 - f_0)/h^2, in ``laplacian_banded``'s layout."""
+    h, n, m = grid.h_r, grid.n, grid.M + 1
+    ab = np.zeros((3, m))
+    ri = grid.nodes[1:m]
+    c_minus = 1.0 / h ** 2 - (n - 1) / (2.0 * h * ri)
+    c_plus = 1.0 / h ** 2 + (n - 1) / (2.0 * h * ri)
+    ab[1, 0] = -2.0 * n / h ** 2
+    ab[0, 1] = 2.0 * n / h ** 2
+    ab[1, 1:] = -2.0 / h ** 2
+    ab[2, 0:m - 1] = c_minus
+    ab[0, 2:] = c_plus[:-1]
+    return ab, float(c_plus[-1])
+
+
+@pytest.mark.parametrize("L, M", [(12.0, 300), (12.0, 1200), (10.6, 400), (1.0, 2000),
+                                  (3.0, 150), (1e-10, 200)])
+def test_laplacian_banded_is_the_ghost_node_stencil_bit_for_bit_at_n1(L, M):
+    g = RadialGrid(1, L, M)
+    ab, c_boundary = laplacian_banded(g)
+    want, want_boundary = ghost_node_banded(g)
+    assert np.array_equal(ab, want)
+    assert c_boundary == want_boundary
+
+
+@pytest.mark.parametrize("L, M", [(12.0, 300), (12.0, 1200), (1.0, 2000), (3.0, 150)])
+def test_laplacian_banded_matches_the_ghost_node_stencil_at_n2(L, M):
+    # at n = 2 the conservative entries equal 1/h^2 -+ 1/(2 h r_i) up to rounding
+    g = RadialGrid(2, L, M)
+    ab, c_boundary = laplacian_banded(g)
+    want, want_boundary = ghost_node_banded(g)
+    assert np.max(np.abs(ab - want) / np.maximum(np.abs(want), 1e-300)) < 1e-15
+    assert c_boundary == pytest.approx(want_boundary, rel=1e-15)
+
+
+@pytest.mark.parametrize("L", [1.0, 5.0])
+def test_laplacian_banded_off_diagonals_are_nonnegative_up_to_n343(L):
+    for n in range(1, 344):
+        g = RadialGrid(n, L, 400)
+        ab, c_boundary = laplacian_banded(g)
+        assert np.all(np.isfinite(ab)) and c_boundary > 0, n
+        assert np.all(ab[0, 1:] > 0) and np.all(ab[2, :-1] >= 0), n
+        assert np.all(ab[1] < 0), n
 
 
 def test_laplacian_gaussian_center():
@@ -163,8 +212,8 @@ def test_eigenpair_n1_analytic():
 
 @pytest.mark.parametrize("R", [1e-10, 1.0])
 def test_eigenpair_converges_on_small_balls_and_wobbling_estimates(R):
-    # R = 1 with M = 200 wobbles in the last bits of lam and never
-    # stagnates; R = 1e-10 has lam ~ 1e20, whose residual scales with it
+    # R = 1e-10 has lam ~ 1e20: the residual guard scales with lam, so a
+    # small ball passes it; R = 1 is the same problem at unit scale
     pair = principal_eigenpair(1, R, 200)
     assert pair.lam * R * R == pytest.approx(math.pi ** 2 / 4.0, rel=1e-4)
     assert abs(integrate(pair.phi) - 1.0) < 1e-10
@@ -186,6 +235,22 @@ def test_eigenpair_n2_bessel_oracle():
     assert pair.lam == pytest.approx(j01 ** 2, rel=1e-4)
 
 
+def first_bessel_zero(nu: float) -> float:
+    """The first positive zero of J_nu, bracketed on a 0.01 grid above nu."""
+    x = np.arange(nu + 0.01, nu + 20.0, 0.01)
+    k = int(np.flatnonzero(np.diff(np.sign(jv(nu, x))))[0])
+    return brentq(lambda t: jv(nu, t), x[k], x[k + 1], xtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_eigenpair_bessel_oracle_in_higher_dimensions(n):
+    # the radial Dirichlet eigenvalue of B_1 is j_{n/2-1,1}^2
+    j = first_bessel_zero(n / 2.0 - 1.0)
+    assert j > n / 2.0 - 1.0
+    pair = principal_eigenpair(n, 1.0, 2000)
+    assert pair.lam == pytest.approx(j ** 2, rel=1e-4)
+
+
 def test_eigenpair_scaling_law():
     lams = []
     for R in (1.0, 2.0, 5.0):
@@ -195,12 +260,23 @@ def test_eigenpair_scaling_law():
 
 
 def test_eigenpair_residual_and_positivity():
-    pair = principal_eigenpair(2, 3.0, 1000)
-    lap = laplacian(pair.phi)
-    resid = np.max(np.abs(lap.values[:-1] + pair.lam * pair.phi.values[:-1]))
-    assert resid / np.max(np.abs(pair.phi.values)) < 1e-6
-    assert np.all(pair.phi.values[:-1] > 0)
-    assert pair.phi.values[-1] == 0.0
+    for n in (2, 50):
+        pair = principal_eigenpair(n, 3.0, 1000)
+        lap = laplacian(pair.phi)
+        resid = np.max(np.abs(lap.values[:-1] + pair.lam * pair.phi.values[:-1]))
+        assert resid / np.max(np.abs(pair.phi.values)) < 1e-6, n
+        assert np.all(pair.phi.values[:-1] > 0), n
+        assert pair.phi.values[-1] == 0.0, n
+        assert abs(integrate(pair.phi) - 1.0) < 1e-10, n
+
+
+def test_eigenpair_residual_guard_refuses_a_wrong_eigenvalue(monkeypatch):
+    # a lam off the spectrum leaves a residual the guard must see
+    real = operators.eigvalsh_tridiagonal
+    monkeypatch.setattr(operators, "eigvalsh_tridiagonal",
+                        lambda *args, **kwargs: 1.5 * real(*args, **kwargs))
+    with pytest.raises(RuntimeError, match="missed the eigenvector"):
+        principal_eigenpair(1, 1.0, 200)
 
 
 def test_banded_lu_solve_bitwise_equals_solve_banded_with_pivoting():

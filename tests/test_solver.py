@@ -56,6 +56,29 @@ def test_stepper_solve_bitwise_equals_solve_banded(n, theta):
             assert np.array_equal(stepper.solve(dt, b.copy()), expected)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11, 50, 300])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_implicit_solve_keeps_nonnegative_data_nonnegative(n, theta):
+    # I - theta dt A is an M-matrix, so its inverse has no negative entry
+    g = RadialGrid(n, 12.0 if n <= 11 else 10.6, 300)
+    stepper = ImexStepper(g, theta)
+    for dt in (1e-4, 1e-3, 1e-2, 5e-2, 1.0):
+        inverse = stepper.solve(dt, np.eye(g.M + 1, order="F"))
+        assert inverse.min() >= 0.0, dt
+        assert np.all(np.diag(inverse) > 0), dt
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_pure_heat_from_a_central_bump_stays_nonnegative(n):
+    g = RadialGrid(n, 12.0, 300)
+    u0 = sample_profile(ProfileSpec.annular_bump(1.0, 0.0, 3 * g.h_r), g)
+    params = ProblemParams(n=n, p=2, q=2, b=0.0, use_source=False, use_gradient=False)
+    out = run(params, u0, None, SolveConfig(t_end=0.05))
+    assert out.status is SolveStatus.REACHED_HORIZON
+    assert min(rec.inf_u for rec in out.trace) >= 0.0
+    assert out.final_field.values.min() >= 0.0
+
+
 def reference_step(u, dt, params, h, theta, banded):
     """One theta step of one field from public pieces: the reaction at every
     node from ``rhs``, the Laplacian, and ``solve_banded`` on ``banded``, the
