@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ProblemParams, critical_exponents
-from .grid import Field, RadialGrid, integrate
-from .operators import Eigenpair, rhs
+from .grid import Field, RadialGrid, _integrate_rows, integrate
+from .operators import Eigenpair, Reaction, _boundary_gradient, _gradient_rows
 
 
 @dataclass(frozen=True)
@@ -451,38 +451,35 @@ def testfunction_scaling(trajectory: List[Tuple[float, Field]],
                        theta^(p/(p-1))(t/tau) xi^(q/(q-1))(r/tau^r_exp) dx dt
                    + int u0 xi^(q/(q-1))(r/tau^r_exp) dx
 
-    by trapezoid over the stored snapshots, and reports the empirical
-    growth exponent of lhs in tau by log-log regression (repeated on every
-    row; nan with fewer than two positive values).
+    by trapezoid in t over every stored snapshot (all on the first one's
+    grid, all finite), and reports the empirical growth exponent of lhs in
+    tau by log-log regression (repeated on every row; nan with fewer than
+    two positive values).
     """
     if not trajectory:
         raise ValueError("empty trajectory")
-    t_last = trajectory[-1][0]
+    grid = trajectory[0][1].grid
+    if any(u.grid != grid for _, u in trajectory):
+        raise ValueError("trajectory snapshots live on different grids")
+    times = np.array([t for t, _ in trajectory])
+    v = np.stack([u.values for _, u in trajectory])
+    if not np.all(np.isfinite(v)):
+        raise ValueError("trajectory holds a non-finite snapshot")
     p, q = float(params.p), float(params.q)
     for tau in tau_list:
-        if 2.0 * tau > t_last * (1.0 + 1e-12):
+        if 2.0 * tau > times[-1] * (1.0 + 1e-12):
             raise ValueError(f"tau = {tau} needs the trajectory up to 2 tau = {2 * tau}, "
-                             f"but it ends at {t_last}")
-    u0 = trajectory[0][1]
-    dens: List[np.ndarray] = []  # each snapshot's reaction, assembled on first use
+                             f"but it ends at {times[-1]}")
+    grad = np.column_stack([_gradient_rows(v, grid.h_r), _boundary_gradient(v, grid.h_r)])
+    dens = Reaction(grid, [params])(v, grad)  # each snapshot's reaction, one per row
     lhs_values = []
     for tau in tau_list:
-        xi_pow = space_cutoff(u0.grid.nodes / tau ** r_exp) ** (q / (q - 1.0))
-        spatial = []
-        times = []
-        for i, (t, u) in enumerate(trajectory):
-            w = float(time_cutoff(np.array(t / tau))) ** (p / (p - 1.0))
-            if w == 0.0 and t > 2.0 * tau:
-                break
-            if i == len(dens):
-                dens.append(rhs(u, params).values)
-            spatial.append(w * integrate(Field(u.grid, dens[i] * xi_pow)))
-            times.append(t)
+        xi_pow = space_cutoff(grid.nodes / tau ** r_exp) ** (q / (q - 1.0))
+        w = time_cutoff(times / tau) ** (p / (p - 1.0))
+        spatial = w * _integrate_rows(dens * xi_pow, grid)
         # trapezoid in t; 0 for a single snapshot
-        spatial, times = np.asarray(spatial), np.asarray(times)
         bulk = float(np.sum(0.5 * (spatial[1:] + spatial[:-1]) * np.diff(times)))
-        initial = integrate(Field(u0.grid, u0.values * xi_pow))
-        lhs_values.append(bulk + initial)
+        lhs_values.append(bulk + integrate(Field(grid, v[0] * xi_pow)))  # + the u0 term
 
     positive = [(tau, lhs) for tau, lhs in zip(tau_list, lhs_values) if lhs > 0]
     if len(positive) >= 2:

@@ -252,19 +252,13 @@ def cmd_run(args) -> int:
     try:
         params, grid, config, profile, forcing, out_dir = parse_scenario(doc)
         h = build_forcing_field(forcing, params, grid)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    u0 = sample_profile(profile, grid)
-    if forcing.kind != "constructed_stationary":
-        u0.values[-1] = 0.0  # Dirichlet truncation
-
-    try:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        u0 = sample_profile(profile, grid)
+        if forcing.kind != "constructed_stationary":
+            u0.values[-1] = 0.0  # Dirichlet truncation
         outcome = run(params, u0, h, config)
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
@@ -435,18 +429,17 @@ def cmd_scan(args) -> int:
             return 2
     ps = [float(v) for v in np.linspace(*args.p_range, args.steps)]
     qs = [float(v) for v in np.linspace(*args.q_range, args.steps)]
-    points = [(p, q) for p in ps for q in qs]
-    for p, q in points:
-        if not (p > 1 and q >= 1):
-            print(f"error: scan point (p={p}, q={q}) outside standing assumptions",
-                  file=sys.stderr)
-            return 2
-
     global_points, blowup_points = [], []
-    for p, q in points:
-        theory = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b))
-        (blowup_points if theory.verdict is Verdict.BLOW_UP_ALL
-         else global_points).append((p, q, theory))
+    for p in ps:
+        for q in qs:
+            try:
+                theory = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b))
+            except ValueError:
+                print(f"error: scan point (p={p}, q={q}) outside standing assumptions",
+                      file=sys.stderr)
+                return 2
+            (blowup_points if theory.verdict is Verdict.BLOW_UP_ALL
+             else global_points).append((p, q, theory))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = _scan_global_points(args.n, global_points, args.b, args.grid_m, args.budget)

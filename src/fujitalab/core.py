@@ -19,13 +19,6 @@ from typing import Optional, Union
 Real = Union[int, float, Fraction]
 
 
-def _exact(x: Real) -> Fraction:
-    """Exact rational view of a parameter."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Instance of the reaction-diffusion problem u_t - Lap u = |u|^p + b|grad u|^q (+ h).
@@ -90,7 +83,7 @@ class CriticalExponents:
     def q_one_of_p(self, p: Real) -> Fraction:
         """Gradient-exponent threshold 1 + 1/(np - 1) of the nonnegative-mean
         result, exact at the binary value of p (needs np > 1)."""
-        return 1 + 1 / (self.n * _exact(p) - 1)
+        return 1 + 1 / (self.n * Fraction(p) - 1)
 
 
 def critical_exponents(n: int) -> CriticalExponents:
@@ -116,7 +109,7 @@ def classify_positive(params: ProblemParams) -> RegimeVerdict:
     """
     _require_theorem_regime(params)
     crit = critical_exponents(params.n)
-    p, q = _exact(params.p), _exact(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     if p <= crit.p_fujita:
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "p <= p_F = 1 + 2/n",
                              "positive-data blow-up (source branch)")
@@ -128,21 +121,18 @@ def classify_positive(params: ProblemParams) -> RegimeVerdict:
                          "positive-data global existence for small data")
 
 
-def classify_mean_nonneg(params: ProblemParams,
-                         assume_nonnegative: bool = False) -> RegimeVerdict:
+def classify_mean_nonneg(params: ProblemParams) -> RegimeVerdict:
     """Regime of possibly sign-changing solutions with nonnegative initial mean.
 
     BlowUpAll iff p <= 1 + 2/n or (q-1)(np-1) <= 1.  Outside that region
-    the theory leaves a genuine gap for sign-changing data; the verdict is
-    Inconclusive unless the caller asserts nonnegative data
-    (``assume_nonnegative``), in which case the positive-data small-data
-    result applies.
+    the theory leaves a genuine gap for sign-changing data, and the verdict
+    is Inconclusive.  Nonnegative data is ``classify_positive``'s.
     """
     _require_theorem_regime(params)
     if not params.q > 1:
         raise ValueError("nonnegative-mean classification requires q > 1")
     crit = critical_exponents(params.n)
-    p, q = _exact(params.p), _exact(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     if p <= crit.p_fujita:
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "p <= p_F = 1 + 2/n",
                              "nonnegative-mean blow-up (source branch)")
@@ -150,10 +140,6 @@ def classify_mean_nonneg(params: ProblemParams,
     if q <= crit.q_one_of_p(p):
         return RegimeVerdict(Verdict.BLOW_UP_ALL, "(q-1)(np-1) <= 1",
                              "nonnegative-mean blow-up (gradient branch)")
-    if assume_nonnegative and q > crit.q_fujita:
-        return RegimeVerdict(Verdict.GLOBAL_FOR_SMALL_DATA,
-                             "p > p_F and q > 1 + 1/(n+1) (nonnegative data asserted)",
-                             "positive-data global existence for small data")
     if q <= crit.q_fujita:
         cond = ("open question: q in (1 + 1/(np-1), 1 + 1/(n+1)] with p > p_F "
                 "is not covered for sign-changing data of nonnegative mean")
@@ -179,7 +165,7 @@ def classify_inhomogeneous(params: ProblemParams,
     if not params.q > 1:
         raise ValueError("inhomogeneous classification requires q > 1")
     crit = critical_exponents(params.n)
-    p, q = _exact(params.p), _exact(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     p_star, q_star = crit.p_star, crit.q_star
     if positive_mass_forcing:
         if p < p_star:

@@ -64,6 +64,8 @@ class SolveConfig:
     dt_max: float = 5e-2
     blowup_threshold: float = 1e8
     growth_cap: float = 0.1
+    # 1 keeps u >= 0 at every dt (the truncation note and Kaplan's argument need it);
+    # theta < 1 only at dt <= 1/((1-theta) max_i(c_plus + c_minus)), c_plus + c_minus = -A_ii
     theta_scheme: float = 1.0
     trace_stride: int = 10
     kaplan_R: Optional[float] = None

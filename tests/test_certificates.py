@@ -494,6 +494,38 @@ def test_testfunction_finite_on_truncated_blowup_trajectory():
         assert math.isfinite(lhs) and lhs > 0
 
 
+def test_testfunction_keeps_the_segment_that_crosses_two_tau():
+    # u = 1 with the source term only: the density is 1, the time weight is
+    # 1 at t = 0, 1 and 0 at t = 3, so the trapezoid gives I on [0, 1] and
+    # I on [1, 3], plus I from u0
+    g = RadialGrid(1, 50.0, 400)
+    one = Field(g, np.ones_like(g.nodes))
+    traj = [(0.0, one), (1.0, one), (3.0, one)]
+    params = ProblemParams(n=1, p=2, q=2, b=0.0, use_gradient=False)
+    (_, lhs, _), = scaling_report(traj, params, [1.0], 0.5)
+    i_xi = integrate(Field(g, space_cutoff(g.nodes) ** 2))
+    assert lhs == pytest.approx(3.0 * i_xi, rel=1e-12)
+
+
+def test_testfunction_rejects_a_non_finite_snapshot():
+    g = RadialGrid(1, 12.0, 100)
+    zero = Field(g, np.zeros_like(g.nodes))
+    bad = zero.copy()
+    bad.values[3] = math.nan
+    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        scaling_report([(0.0, zero), (1.0, bad), (2.0, zero)], params, [0.5], 1.0)
+
+
+def test_testfunction_rejects_snapshots_on_another_grid():
+    g, other = RadialGrid(1, 12.0, 100), RadialGrid(1, 12.0, 200)
+    traj = [(0.0, Field(g, np.zeros_like(g.nodes))),
+            (1.0, Field(other, np.zeros_like(other.nodes)))]
+    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
+    with pytest.raises(ValueError, match="grid"):
+        scaling_report(traj, params, [0.5], 1.0)
+
+
 def test_testfunction_rejects_tau_beyond_horizon():
     g = RadialGrid(1, 12.0, 100)
     zero = Field(g, np.zeros_like(g.nodes))

@@ -105,10 +105,35 @@ def test_classify_mean_nonneg_examples():
 
 
 def test_classify_mean_nonneg_asserted_positive_data():
-    v = classify_mean_nonneg(ProblemParams(n=1, p=4, q=2), assume_nonnegative=True)
-    assert v.verdict is Verdict.GLOBAL_FOR_SMALL_DATA
-    v = classify_mean_nonneg(ProblemParams(n=1, p=4, q=2), assume_nonnegative=False)
+    # nonnegative data is classify_positive's; the sign-changing gap stays open
+    v = classify_mean_nonneg(ProblemParams(n=1, p=4, q=2))
     assert v.verdict is Verdict.INCONCLUSIVE
+    v = classify_positive(ProblemParams(n=1, p=4, q=Fraction(7, 5)))
+    assert v.verdict is Verdict.BLOW_UP_ALL
+    v = classify_positive(ProblemParams(n=1, p=4, q=2))
+    assert v.verdict is Verdict.GLOBAL_FOR_SMALL_DATA
+    with pytest.raises(TypeError):  # no flag turns the gap into a positive-data verdict
+        classify_mean_nonneg(ProblemParams(n=1, p=4, q=Fraction(7, 5)),
+                             assume_nonnegative=True)
+
+
+def test_mean_nonneg_blowup_implies_positive_blowup():
+    # nonnegative data has nonnegative mean, so every BlowUpAll of the
+    # nonnegative-mean result is one of the positive-data result too
+    # (1 + 1/(np-1) < q_F once p > p_F); checked on an exact lattice that
+    # straddles p_F, q_F and 1 + 1/(np-1)
+    d = Fraction(1, 1000)
+    for n in range(1, 7):
+        crit = critical_exponents(n)
+        for p in (crit.p_fujita - Fraction(1, 5), crit.p_fujita - d, crit.p_fujita,
+                  crit.p_fujita + d, crit.p_fujita + Fraction(1, 5), crit.p_fujita + 3):
+            qs = [crit.q_fujita + s for s in (-d, 0, d)] + [Fraction(3)]
+            if n * p > 1:
+                qs += [crit.q_one_of_p(p) + s for s in (-d, 0, d)]
+            for q in (q for q in qs if q > 1):
+                params = ProblemParams(n=n, p=p, q=q)
+                if classify_mean_nonneg(params).verdict is Verdict.BLOW_UP_ALL:
+                    assert classify_positive(params).verdict is Verdict.BLOW_UP_ALL, (n, p, q)
 
 
 def test_classify_inhomogeneous_examples():
