@@ -9,14 +9,13 @@ from .grid import (Field, ProfileSpec, RadialGrid, dipole_with_mean,
                    sup_norm)
 from .operators import (Eigenpair, gradient_magnitude, laplacian,
                         principal_eigenpair, rhs)
-from .certificates import (ForcingSpec, GaussianCertificate, OdeVerdict,
-                           RateExponents, StationaryCertificate,
-                           certificate_to_json, constructed_forcing,
-                           gaussian_certificate, gaussian_supersolution,
-                           kaplan_functional, kaplan_radius, ode_comparison,
-                           rate_exponents, stationary_certificate,
-                           stationary_profile, supersolution_residual,
-                           testfunction_scaling)
+from .certificates import (GaussianCertificate, OdeVerdict, RateExponents,
+                           StationaryCertificate, certificate_to_json,
+                           constructed_forcing, gaussian_certificate,
+                           gaussian_supersolution, kaplan_functional,
+                           kaplan_radius, ode_comparison, rate_exponents,
+                           stationary_certificate, stationary_profile,
+                           supersolution_residual, testfunction_scaling)
 from .solver import (SolveConfig, SolveOutcome, SolveStatus, TraceRecord,
                      TRUNCATION_NOTE, comparison_tolerance, detect_blowup,
                      heat_reference, measure_plateau, run, step, trace_to_csv)
@@ -28,7 +27,7 @@ __all__ = [
     "Field", "ProfileSpec", "RadialGrid", "dipole_with_mean", "field_to_csv",
     "integrate", "l1_norm", "mean", "sample_profile", "sup_norm",
     "Eigenpair", "gradient_magnitude", "laplacian", "principal_eigenpair", "rhs",
-    "ForcingSpec", "GaussianCertificate", "OdeVerdict", "RateExponents",
+    "GaussianCertificate", "OdeVerdict", "RateExponents",
     "StationaryCertificate", "certificate_to_json", "constructed_forcing",
     "gaussian_certificate", "gaussian_supersolution", "kaplan_functional",
     "kaplan_radius", "ode_comparison", "rate_exponents",

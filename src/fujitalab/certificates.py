@@ -29,22 +29,6 @@ from .grid import Field, RadialGrid, _integrate_rows, integrate
 from .operators import Eigenpair, Reaction, _boundary_gradient, _gradient_rows
 
 
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Declarative forcing: none, a gaussian profile, or the constructed
-    forcing that makes the stationary supersolution an exact steady state."""
-
-    kind: str  # "none" | "gaussian" | "constructed_stationary"
-    amplitude: Optional[float] = None
-    eps: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian", "constructed_stationary"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if self.kind == "gaussian" and (self.amplitude is None or self.amplitude < 0):
-            raise ValueError("gaussian forcing needs amplitude >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Kaplan functional and Bernoulli comparison ODE
 # ---------------------------------------------------------------------------

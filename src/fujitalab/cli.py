@@ -14,15 +14,14 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .certificates import (ForcingSpec, certificate_to_json,
-                           gaussian_certificate, gaussian_supersolution,
-                           stationary_certificate)
-from .core import (ProblemParams, RegimeVerdict, Verdict, classify_positive,
-                   critical_exponents)
+from .certificates import (certificate_to_json, gaussian_certificate,
+                           gaussian_supersolution, stationary_certificate)
+from .core import (ProblemParams, Real, RegimeVerdict, Verdict,
+                   classify_positive, critical_exponents)
 from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
@@ -38,9 +37,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Scenario config parsing (strict: unknown keys rejected)
 # ---------------------------------------------------------------------------
-
-Real = Union[int, float, Fraction]
-
 
 def _number(value, where: str) -> Real:
     """Accept finite JSON numbers, or [num, den] pairs for exact rationals."""
@@ -132,34 +128,38 @@ def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
     raise ConfigError(f"{where}: unknown profile kind {kind!r}")
 
 
-def _parse_forcing(obj: dict) -> ForcingSpec:
+def _parse_forcing(obj: dict, params: ProblemParams, grid: RadialGrid) -> Optional[Field]:
+    """The forcing field h on ``grid``: None, a gaussian, or the constructed
+    forcing that makes the algebraic supersolution an exact steady state."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("forcing: expected an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "none":
         _check_keys(obj, {"kind"}, "forcing")
-        return ForcingSpec("none")
+        return None
     if kind == "gaussian":
         _check_keys(obj, {"kind", "amplitude"}, "forcing")
-        return ForcingSpec("gaussian",
-                           amplitude=float(_field(obj, "amplitude", Real, "forcing")))
+        amplitude = float(_field(obj, "amplitude", Real, "forcing"))
+        if amplitude < 0:
+            raise ConfigError("gaussian forcing needs amplitude >= 0")
+        return sample_profile(ProfileSpec.gaussian(amplitude), grid)
     if kind == "constructed_stationary":
         _check_keys(obj, {"kind", "eps"}, "forcing")
         eps = _field(obj, "eps", Real, "forcing", None)
-        return ForcingSpec("constructed_stationary",
-                           eps=None if eps is None else float(eps))
+        return stationary_certificate(params.n, float(params.p), float(params.q),
+                                      float(params.b), grid=grid,
+                                      eps=None if eps is None else float(eps)).h
     raise ConfigError(f"forcing: unknown kind {kind!r}")
 
 
 def parse_scenario(doc: dict):
+    """The inputs of ``run``: (params, grid, config, profile, u0, h, out_dir)."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, {"problem", "profile", "forcing", "grid", "solve", "output"}, "config")
     prob, profile_doc, gr, sv = (_field(doc, key, dict, "config")
                                  for key in ("problem", "profile", "grid", "solve"))
     out = _field(doc, "output", dict, "config", {})
-
-    forcing = _parse_forcing(doc["forcing"]) if "forcing" in doc else ForcingSpec("none")
 
     _check_keys(prob, {"n", "p", "q", "b", "use_source", "use_gradient"}, "problem")
     params = ProblemParams(
@@ -210,36 +210,30 @@ def parse_scenario(doc: dict):
     config = SolveConfig(**kw)
     # every recorded sup is <= v_max (NaN for a non-finite profile), so these bound the trace
     with np.errstate(over="ignore", invalid="ignore"):
-        sup0 = float(np.max(np.abs(profile.evaluate(grid.nodes))))
+        u0 = sample_profile(profile, grid)
+        sup0 = float(np.max(np.abs(u0.values)))
         v_max = float(np.maximum(sup0, config.blowup_threshold)) * (1.0 + config.growth_cap)
         bounds = [v_max * grid.weights.sum(), 8.0 * v_max / (2.0 * grid.h_r)]
     if not np.all(np.isfinite(bounds)):
         raise ConfigError(f"profile: a run may record a sup of max({sup0!r}, blowup_threshold) "
                           f"* (1 + growth_cap) = {v_max!r}, whose trace is out of float range")
-    return params, grid, config, profile, forcing, out_dir
-
-
-def build_forcing_field(forcing: ForcingSpec, params: ProblemParams,
-                        grid: RadialGrid) -> Optional[Field]:
-    if forcing.kind == "none":
-        return None
-    if forcing.kind == "gaussian":
-        return sample_profile(ProfileSpec.gaussian(forcing.amplitude), grid)
-    # constructed_stationary: forcing that makes the algebraic supersolution
-    # an exact steady state of the forced problem
-    cert = stationary_certificate(params.n, float(params.p), float(params.q),
-                                  float(params.b), grid=grid, eps=forcing.eps)
-    return cert.h
+    forcing = doc.get("forcing", {"kind": "none"})
+    h = _parse_forcing(forcing, params, grid)
+    # a run holds u's boundary value fixed; the constructed steady state is
+    # positive at r = L, so its boundary keeps the profile's value
+    if forcing["kind"] != "constructed_stationary":
+        u0.values[-1] = 0.0  # Dirichlet truncation
+    return params, grid, config, profile, u0, h, out_dir
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _is_pure_heat(params: ProblemParams, forcing: ForcingSpec, profile: ProfileSpec) -> bool:
+def _is_pure_heat(params: ProblemParams, h: Optional[Field], profile: ProfileSpec) -> bool:
     single_gaussian = len(profile.parts) == 1 and profile.parts[0].kind == "gaussian"
     return (not params.use_source and not params.use_gradient
-            and forcing.kind == "none" and single_gaussian)
+            and h is None and single_gaussian)
 
 
 def cmd_run(args) -> int:
@@ -250,15 +244,11 @@ def cmd_run(args) -> int:
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         return 2
     try:
-        params, grid, config, profile, forcing, out_dir = parse_scenario(doc)
-        h = build_forcing_field(forcing, params, grid)
+        params, grid, config, profile, u0, h, out_dir = parse_scenario(doc)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        u0 = sample_profile(profile, grid)
-        if forcing.kind != "constructed_stationary":
-            u0.values[-1] = 0.0  # Dirichlet truncation
         outcome = run(params, u0, h, config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
@@ -276,7 +266,7 @@ def cmd_run(args) -> int:
         "final_sup": outcome.trace[-1].sup_u,
         "truncation_note": TRUNCATION_NOTE,
     }
-    if _is_pure_heat(params, forcing, profile) and outcome.status is SolveStatus.REACHED_HORIZON:
+    if _is_pure_heat(params, h, profile) and outcome.status is SolveStatus.REACHED_HORIZON:
         amp = profile.parts[0].amplitude
         ref = heat_reference(outcome.trace[-1].t, grid)
         err = float(np.max(np.abs(outcome.final_field.values - amp * ref.values)))

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fujitalab import cli
-from fujitalab.cli import (ConfigError, build_forcing_field, main,
-                           parse_scenario, scan_csv, _number,
+from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
 from fujitalab.core import ProblemParams, classify_positive
 from fujitalab.certificates import gaussian_certificate
-from fujitalab.grid import Field, RadialGrid, sample_profile
+from fujitalab.grid import Field, ProfileSpec, RadialGrid
 from fujitalab.solver import (SolveConfig, SolveStatus, comparison_tolerance,
                               run_batch)
 
@@ -633,6 +632,47 @@ def test_run_refuses_a_stationary_forcing_whose_eps_is_not_positive(tmp_path, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("problem, forcing, message", [
+    ({"n": 1, "p": 2, "q": 2}, {"kind": "gaussian", "amplitude": -1},
+     "gaussian forcing needs amplitude >= 0"),
+    ({"n": 3, "p": 4.5, "q": 2}, {"kind": "constructed_stationary", "eps": 1.0},
+     "is not negative; eps too large"),
+], ids=["negative_gaussian", "stationary_margin"])
+def test_run_refuses_a_forcing_before_making_the_output_directory(tmp_path, capsys,
+                                                                  problem, forcing, message):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["problem"] = problem
+    doc["forcing"] = forcing
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("forcing", [
+    {"kind": "none"}, {"kind": "gaussian", "amplitude": 1.0},
+    {"kind": "constructed_stationary", "eps": 0.03}],
+    ids=["none", "gaussian", "constructed_stationary"])
+def test_parse_scenario_pins_the_boundary_unless_the_forcing_is_constructed(forcing):
+    doc = {
+        "problem": {"n": 3, "p": 4, "q": 2, "b": 1.0},
+        "profile": {"kind": "algebraic", "amplitude": 0.03, "k": [5, 12]},
+        "forcing": forcing,
+        "grid": {"L": 12.0, "M": 100},
+        "solve": {"t_end": 1.0},
+    }
+    _, grid, _, profile, u0, h, _ = parse_scenario(doc)
+    if forcing["kind"] == "constructed_stationary":
+        assert u0.values[-1] == ProfileSpec.algebraic(0.03, 5 / 12).evaluate(
+            np.array([grid.L]))[0] > 0.0
+        assert np.all(h.values > 0.0)
+    else:
+        assert u0.values[-1] == 0.0
+        assert (h is None) == (forcing["kind"] == "none")
+    assert np.array_equal(u0.values[:-1], profile.evaluate(grid.nodes)[:-1])
+
+
 def _set(doc, path, value):
     *parents, last = path
     for key in parents:
@@ -757,11 +797,11 @@ _short_runs = _scenario(st.integers(2, 50), st.fixed_dictionaries(
 @given(_scenarios)
 def test_parse_scenario_fuzz_rejects_or_gives_a_finite_start(doc):
     try:
-        params, grid, config, profile, forcing, _ = parse_scenario(doc)
-        build_forcing_field(forcing, params, grid)
+        params, grid, config, profile, u0, h, _ = parse_scenario(doc)
     except ValueError:  # ConfigError included
         return
-    assert np.all(np.isfinite(sample_profile(profile, grid).values))
+    assert np.all(np.isfinite(u0.values))
+    assert h is None or np.all(np.isfinite(h.values))
     assert config.kaplan_R is None or 0 < config.kaplan_R <= grid.L
 
 

@@ -1,4 +1,5 @@
-"""README's library layout names only what the package has."""
+"""README's library layout and the package's export list name only what the
+package has."""
 import importlib
 import pkgutil
 import re
@@ -33,3 +34,7 @@ def test_every_identifier_in_the_library_layout_names_a_package_attribute():
     names = [name for row in rows for name in IDENTIFIER.findall(row)]
     assert names
     assert [name for name in names if not resolves(name, modules)] == []
+
+
+def test_every_exported_name_is_a_package_attribute():
+    assert [name for name in fujitalab.__all__ if not hasattr(fujitalab, name)] == []
