@@ -5,37 +5,35 @@ from .core import (CriticalExponents, ProblemParams, RegimeVerdict, Verdict,
                    classify_inhomogeneous, classify_mean_nonneg,
                    classify_positive, critical_exponents)
 from .grid import (Field, ProfileSpec, RadialGrid, dipole_with_mean,
-                   field_to_csv, integrate, l1_norm, mean, sample_profile,
-                   sup_norm)
+                   field_to_csv, integrate, mean, sample_profile)
 from .operators import (Eigenpair, gradient_magnitude, laplacian,
                         principal_eigenpair, rhs)
 from .certificates import (GaussianCertificate, OdeVerdict, RateExponents,
                            StationaryCertificate, certificate_to_json,
                            constructed_forcing, gaussian_certificate,
                            gaussian_supersolution, kaplan_functional,
-                           kaplan_radius, ode_comparison, rate_exponents,
+                           ode_comparison, rate_exponents,
                            stationary_certificate, stationary_profile,
-                           supersolution_residual, testfunction_scaling)
+                           supersolution_residual)
 from .solver import (SolveConfig, SolveOutcome, SolveStatus, TraceRecord,
                      TRUNCATION_NOTE, comparison_tolerance, detect_blowup,
-                     heat_reference, measure_plateau, run, step, trace_to_csv)
+                     heat_reference, run, trace_to_csv)
 
 __all__ = [
     "CriticalExponents", "ProblemParams", "RegimeVerdict", "Verdict",
     "classify_inhomogeneous", "classify_mean_nonneg", "classify_positive",
     "critical_exponents",
     "Field", "ProfileSpec", "RadialGrid", "dipole_with_mean", "field_to_csv",
-    "integrate", "l1_norm", "mean", "sample_profile", "sup_norm",
+    "integrate", "mean", "sample_profile",
     "Eigenpair", "gradient_magnitude", "laplacian", "principal_eigenpair", "rhs",
     "GaussianCertificate", "OdeVerdict", "RateExponents",
     "StationaryCertificate", "certificate_to_json", "constructed_forcing",
     "gaussian_certificate", "gaussian_supersolution", "kaplan_functional",
-    "kaplan_radius", "ode_comparison", "rate_exponents",
+    "ode_comparison", "rate_exponents",
     "stationary_certificate", "stationary_profile", "supersolution_residual",
-    "testfunction_scaling",
     "SolveConfig", "SolveOutcome", "SolveStatus", "TraceRecord",
     "TRUNCATION_NOTE", "comparison_tolerance", "detect_blowup",
-    "heat_reference", "measure_plateau", "run", "step", "trace_to_csv",
+    "heat_reference", "run", "trace_to_csv",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Checkable desk-scale certificates for blow-up and global existence.
 
-Four devices are mechanized:
+Three proof devices are mechanized, plus the exponents of a fourth:
 
 * the eigenfunction (Kaplan) functional and its exactly solvable Bernoulli
   comparison ODE, whose threshold crossing certifies blow-up;
@@ -20,13 +20,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ProblemParams, critical_exponents
-from .grid import Field, RadialGrid, _integrate_rows, integrate
-from .operators import Eigenpair, Reaction, _boundary_gradient, _gradient_rows
+from .core import critical_exponents
+from .grid import Field, RadialGrid
+from .operators import Eigenpair
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +86,6 @@ def ode_comparison(y0: float, p: float, lam: float, R: float) -> OdeVerdict:
         t_star = math.log(1.0 / (1.0 - a * y0 ** (1.0 - p))) / ((p - 1.0) * a)
         return OdeVerdict(blows_up=True, t_star=t_star, threshold=threshold)
     return OdeVerdict(blows_up=False, t_star=None, threshold=threshold)
-
-
-def kaplan_radius(p: float, ell: float, lambda1: float) -> float:
-    """Ball radius putting the level ell/2 strictly above the ODE threshold.
-
-    Returns 1.05 sqrt(lambda1) (ell/2)^((1-p)/2): any radius above
-    sqrt(lambda1) (ell/2)^((1-p)/2) makes (ell/2)^(p-1) > lambda1 R^-2.
-    """
-    if not (ell > 0 and p > 1 and lambda1 > 0):
-        raise ValueError("need ell > 0, p > 1, lambda1 > 0")
-    return 1.05 * math.sqrt(lambda1) * (ell / 2.0) ** ((1.0 - p) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,75 +396,6 @@ def rate_exponents(n: int, p: float, q: float) -> RateExponents:
         raise AssertionError("forced-problem exponent identity violated beyond roundoff")
     return RateExponents(n=n, p=p, q=q, r=r, e1=e1, e2=e2,
                          combined=combined, inhom=inhom)
-
-
-# ---------------------------------------------------------------------------
-# Rescaled test-function evaluation on a stored trajectory
-# ---------------------------------------------------------------------------
-
-def time_cutoff(sigma: np.ndarray) -> np.ndarray:
-    """C^2 cutoff: 1 on [0, 1], 0 beyond 2, quintic-smooth in between."""
-    x = np.clip(2.0 - np.asarray(sigma, dtype=float), 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def space_cutoff(z: np.ndarray) -> np.ndarray:
-    """Radial C^2 cutoff: 1 for |z| <= 1, 0 for |z| >= 2."""
-    return time_cutoff(np.abs(z))
-
-
-def testfunction_scaling(trajectory: List[Tuple[float, Field]],
-                         params: ProblemParams, tau_list: Sequence[float],
-                         r_exp: float) -> List[Tuple[float, float, float]]:
-    """Evaluate the rescaled test-function quantity along a trajectory.
-
-    For each tau computes
-
-        lhs(tau) = int int (|u|^p + b |grad u|^q)
-                       theta^(p/(p-1))(t/tau) xi^(q/(q-1))(r/tau^r_exp) dx dt
-                   + int u0 xi^(q/(q-1))(r/tau^r_exp) dx
-
-    by trapezoid in t over every stored snapshot (all on the first one's
-    grid, all finite), and reports the empirical growth exponent of lhs in
-    tau by log-log regression (repeated on every row; nan with fewer than
-    two positive values).
-    """
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    grid = trajectory[0][1].grid
-    if any(u.grid != grid for _, u in trajectory):
-        raise ValueError("trajectory snapshots live on different grids")
-    times = np.array([t for t, _ in trajectory])
-    v = np.stack([u.values for _, u in trajectory])
-    if not np.all(np.isfinite(v)):
-        raise ValueError("trajectory holds a non-finite snapshot")
-    p, q = float(params.p), float(params.q)
-    for tau in tau_list:
-        if 2.0 * tau > times[-1] * (1.0 + 1e-12):
-            raise ValueError(f"tau = {tau} needs the trajectory up to 2 tau = {2 * tau}, "
-                             f"but it ends at {times[-1]}")
-    grad = np.column_stack([_gradient_rows(v, grid.h_r), _boundary_gradient(v, grid.h_r)])
-    dens = Reaction(grid, [params])(v, grad)  # each snapshot's reaction, one per row
-    lhs_values = []
-    for tau in tau_list:
-        xi_pow = space_cutoff(grid.nodes / tau ** r_exp) ** (q / (q - 1.0))
-        w = time_cutoff(times / tau) ** (p / (p - 1.0))
-        spatial = w * _integrate_rows(dens * xi_pow, grid)
-        # trapezoid in t; 0 for a single snapshot
-        bulk = float(np.sum(0.5 * (spatial[1:] + spatial[:-1]) * np.diff(times)))
-        lhs_values.append(bulk + integrate(Field(grid, v[0] * xi_pow)))  # + the u0 term
-
-    positive = [(tau, lhs) for tau, lhs in zip(tau_list, lhs_values) if lhs > 0]
-    if len(positive) >= 2:
-        lt = np.log([tau for tau, _ in positive])
-        ll = np.log([lhs for _, lhs in positive])
-        a = np.vstack([np.ones_like(lt), lt]).T
-        (_, slope), *_ = np.linalg.lstsq(a, ll, rcond=None)
-        exponent = float(slope)
-    else:
-        exponent = math.nan
-    return [(float(tau), float(lhs), exponent)
-            for tau, lhs in zip(tau_list, lhs_values)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,16 @@ from .certificates import (certificate_to_json, gaussian_certificate,
                            gaussian_supersolution, stationary_certificate)
 from .core import (ProblemParams, Real, RegimeVerdict, Verdict,
                    classify_positive, critical_exponents)
-from .grid import Field, ProfileSpec, RadialGrid, field_to_csv, sample_profile
+from .grid import (M_MAX, Field, ProfileSpec, RadialGrid, field_to_csv,
+                   sample_profile)
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
                      trace_to_csv)
 
 SCHEMA_VERSION = 1
+# the most (p, q) points a scan takes: each is classified and kept as a row
+# (about 500 bytes, more in scan.json) before any is run, so 10^6 is about 1 GB
+SCAN_POINTS_MAX = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -412,6 +416,13 @@ def cmd_scan(args) -> int:
                          (not all(map(math.isfinite, args.q_range)),
                           "--q-range must be finite"),
                          (args.grid_m < 2, "--grid-m must be >= 2"),
+                         (args.grid_m > M_MAX, f"--grid-m must be <= {M_MAX}"),
+                         (args.steps ** 2 > SCAN_POINTS_MAX,
+                          f"--steps must keep steps^2 <= {SCAN_POINTS_MAX} points"),
+                         # the certified-global points run as one batch, a column each
+                         (args.steps ** 2 * (args.grid_m + 2) > M_MAX + 2,
+                          f"--steps: the batch holds steps^2 * (grid_m + 2) nodes, "
+                          f"at most {M_MAX + 2} (one grid of M = {M_MAX})"),
                          (not (math.isfinite(args.budget) and args.budget > 0),
                           "--budget must be finite and > 0")):
         if bad:

@@ -16,6 +16,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+# the largest M a grid takes: a run holds about a dozen (M+2)-float arrays per
+# column plus the (3, M+1) band of A, so M = 10^7 is about 1 GB
+M_MAX = 10 ** 7
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -48,6 +52,9 @@ class RadialGrid:
                              f"is out of float range: sphere_area(n) * L**n = {scale!r}")
         if self.M < 2:
             raise ValueError(f"need at least 2 interior nodes, got M={self.M!r}")
+        if self.M > M_MAX:
+            raise ValueError(f"M={self.M!r} interior nodes exceed the cap M <= {M_MAX} "
+                             f"(about 1 GB per run)")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.L, self.M + 2))
         weights = area * self.h_r * self.nodes ** (self.n - 1)
         weights[[0, -1]] *= 0.5
@@ -90,14 +97,6 @@ def integrate(f: Field) -> float:
 def _integrate_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
     """``integrate`` along the last axis of v (one field per row), unchecked."""
     return (v * g.weights).sum(axis=-1)
-
-
-def sup_norm(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def l1_norm(f: Field) -> float:
-    return integrate(Field(f.grid, np.abs(f.values)))
 
 
 def mean(f: Field) -> float:

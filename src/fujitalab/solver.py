@@ -153,16 +153,6 @@ class ImexStepper:
         return x
 
 
-def step(u: Field, dt: float, params: ProblemParams) -> Field:
-    """One implicit-Euler (theta = 1) IMEX step of the unforced problem;
-    the boundary value of u is held fixed."""
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("cannot step a non-finite field")
-    block = _step(ImexStepper(u.grid, 1.0), u.values[None], dt,
-                  Reaction(u.grid, [params]))
-    return Field(u.grid, block[0])
-
-
 def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
           reaction: Reaction) -> np.ndarray:
     """One IMEX theta step of every row of the (K, M+2) block v.
@@ -414,26 +404,6 @@ def heat_reference(t: float, grid: RadialGrid) -> Field:
     r = grid.nodes
     s = t + 1.0
     return Field(grid, s ** (-grid.n / 2.0) * np.exp(-r * r / (4.0 * s)))
-
-
-def measure_plateau(trace: List[TraceRecord]) -> Tuple[float, float]:
-    """Empirical plateau value from the last quarter of a trace's time span.
-
-    Returns (ell_hat, relative drift over that tail); a small drift means the
-    run has settled.  Used to feed the Kaplan radius selection, since the
-    theory provides the limit but no rate.
-    """
-    if len(trace) < 4:
-        raise ValueError("trace too short to measure a plateau")
-    t_end = trace[-1].t
-    t_cut = t_end * 0.75
-    tail = [rec for rec in trace if rec.t >= t_cut]
-    if len(tail) < 2:
-        tail = trace[-2:]
-    values = [rec.sup_u for rec in tail]
-    ell_hat = values[-1]
-    drift = (max(values) - min(values)) / max(abs(ell_hat), 1e-300)
-    return ell_hat, drift
 
 
 def comparison_tolerance(grid: RadialGrid, config: SolveConfig) -> float:

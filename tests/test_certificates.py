@@ -9,18 +9,14 @@ from scipy.integrate import solve_ivp
 
 from fujitalab import certificates
 from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
-                                    constructed_forcing, gaussian_certificate,
+                                    gaussian_certificate,
                                     gaussian_supersolution, gradient_constant,
-                                    kaplan_functional, kaplan_radius,
-                                    kaplan_weights,
+                                    kaplan_functional, kaplan_weights,
                                     ode_comparison, rate_exponents,
                                     stationary_certificate,
-                                    supersolution_residual, time_cutoff,
-                                    space_cutoff)
-from fujitalab.certificates import testfunction_scaling as scaling_report
-from fujitalab.core import ProblemParams
-from fujitalab.grid import (Field, ProfileSpec, RadialGrid, dipole_with_mean,
-                            integrate, sample_profile)
+                                    supersolution_residual)
+from fujitalab.grid import (Field, ProfileSpec, RadialGrid, integrate,
+                            sample_profile)
 from fujitalab.operators import principal_eigenpair
 
 
@@ -138,22 +134,6 @@ def test_ode_comparison_against_adaptive_oracle():
         assert v.blows_up
         t_oracle = ode_blowup_time_oracle(y0, p, a)
         assert v.t_star == pytest.approx(t_oracle, rel=1e-8)
-
-
-def test_kaplan_radius_formula():
-    assert kaplan_radius(2.0, 2.0, math.pi ** 2 / 4) == pytest.approx(
-        1.05 * math.pi / 2, rel=1e-14)
-    assert kaplan_radius(3.0, 2.0, math.pi ** 2) == pytest.approx(
-        1.05 * math.pi, rel=1e-14)
-    # monotone in ell: larger observed plateau allows a smaller ball
-    assert kaplan_radius(2.0, 1e6, 1.0) < kaplan_radius(2.0, 2.0, 1.0) < kaplan_radius(2.0, 0.01, 1.0)
-
-
-def test_kaplan_radius_clears_threshold():
-    p, ell, lam1 = 2.5, 1.3, math.pi ** 2 / 4
-    R = kaplan_radius(p, ell, lam1)
-    a = lam1 / R ** 2
-    assert (ell / 2.0) ** (p - 1.0) > a
 
 
 # ---------------------------------------------------------------------------
@@ -435,119 +415,6 @@ def test_rate_exponents_identities_random():
         assert abs(re.e1 - re.e2) <= 1e-12 * scale
         assert abs(re.e1 - re.combined) <= 1e-12 * scale
         assert abs((re.e1 - 1.0) - re.inhom) <= 1e-12 * max(1.0, abs(re.inhom))
-
-
-# ---------------------------------------------------------------------------
-# Test-function evaluation
-# ---------------------------------------------------------------------------
-
-def test_cutoffs_support():
-    s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
-    th = time_cutoff(s)
-    assert th[0] == th[1] == th[2] == 1.0
-    assert 0 < th[3] < 1
-    assert th[4] == th[5] == 0.0
-    assert np.all(space_cutoff(np.array([-0.5, 0.5])) == 1.0)
-
-
-def test_testfunction_zero_solution():
-    g = RadialGrid(1, 12.0, 400)
-    zero = Field(g, np.zeros_like(g.nodes))
-    traj = [(0.0, zero), (5.0, zero), (10.0, zero)]
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
-    rows = scaling_report(traj, params, [1.0, 2.0, 5.0], 1.0 / 3.0)
-    assert all(lhs == 0.0 for _, lhs, _ in rows)
-
-
-def test_testfunction_zero_mean_data_vanishes():
-    g = RadialGrid(1, 12.0, 2000)
-    spec = dipole_with_mean(1.0, centers=(2.0, 5.0), widths=(1.0, 1.5), grid=g)
-    u0 = sample_profile(spec, g)
-    zero = Field(g, np.zeros_like(g.nodes))
-    traj = [(0.0, u0), (10.0, zero), (20.0, zero), (40.0, zero), (80.0, zero)]
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0,
-                           use_source=False, use_gradient=False)
-    taus = [4.0, 10.0, 40.0]
-    rows = scaling_report(traj, params, taus, 1.0)
-    values = [abs(lhs) for _, lhs, _ in rows]
-    # once the rescaled cutoff covers the dipole support, lhs is its mean: 0
-    assert values[-1] < 1e-10
-
-
-def test_testfunction_finite_on_truncated_blowup_trajectory():
-    # run a blow-up instance but stop well before t*: the stored trajectory
-    # gives a finite lhs to set against C tau^combined qualitatively
-    from fujitalab.solver import SolveConfig, run
-    g = RadialGrid(1, 12.0, 400)
-    spec = dipole_with_mean(2.5, centers=(1.6, 4.2), widths=(1.2, 1.2),
-                            grid=g, target_mean=1e-3)
-    u0 = sample_profile(spec, g)
-    u0.values[-1] = 0.0
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
-    cfg = SolveConfig(t_end=0.02, dt_init=1e-4, dt_min=1e-6, dt_max=1e-3,
-                      trace_stride=5, store_fields=True)
-    out = run(params, u0, None, cfg)
-    rows = scaling_report(out.snapshots, params, [0.005, 0.01], 1.0 / 3.0)
-    exps = rate_exponents(1, 4, 4 / 3)
-    assert abs(exps.combined) < 1e-12  # the equality instance scales flat
-    for tau, lhs, _ in rows:
-        assert math.isfinite(lhs) and lhs > 0
-
-
-def test_testfunction_keeps_the_segment_that_crosses_two_tau():
-    # u = 1 with the source term only: the density is 1, the time weight is
-    # 1 at t = 0, 1 and 0 at t = 3, so the trapezoid gives I on [0, 1] and
-    # I on [1, 3], plus I from u0
-    g = RadialGrid(1, 50.0, 400)
-    one = Field(g, np.ones_like(g.nodes))
-    traj = [(0.0, one), (1.0, one), (3.0, one)]
-    params = ProblemParams(n=1, p=2, q=2, b=0.0, use_gradient=False)
-    (_, lhs, _), = scaling_report(traj, params, [1.0], 0.5)
-    i_xi = integrate(Field(g, space_cutoff(g.nodes) ** 2))
-    assert lhs == pytest.approx(3.0 * i_xi, rel=1e-12)
-
-
-def test_testfunction_rejects_a_non_finite_snapshot():
-    g = RadialGrid(1, 12.0, 100)
-    zero = Field(g, np.zeros_like(g.nodes))
-    bad = zero.copy()
-    bad.values[3] = math.nan
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        scaling_report([(0.0, zero), (1.0, bad), (2.0, zero)], params, [0.5], 1.0)
-
-
-def test_testfunction_rejects_snapshots_on_another_grid():
-    g, other = RadialGrid(1, 12.0, 100), RadialGrid(1, 12.0, 200)
-    traj = [(0.0, Field(g, np.zeros_like(g.nodes))),
-            (1.0, Field(other, np.zeros_like(other.nodes)))]
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
-    with pytest.raises(ValueError, match="grid"):
-        scaling_report(traj, params, [0.5], 1.0)
-
-
-def test_testfunction_rejects_tau_beyond_horizon():
-    g = RadialGrid(1, 12.0, 100)
-    zero = Field(g, np.zeros_like(g.nodes))
-    traj = [(0.0, zero), (1.0, zero)]
-    params = ProblemParams(n=1, p=4, q=4 / 3, b=1.0)
-    with pytest.raises(ValueError):
-        scaling_report(traj, params, [2.0], 1.0)
-
-
-def test_testfunction_reports_exponent():
-    # u = 1 everywhere with p-source only: density 1 on the cutoff support;
-    # lhs ~ C tau^(1 + n r) once the bulk term dominates the u0 term
-    g = RadialGrid(1, 200.0, 800)
-    one = Field(g, np.ones_like(g.nodes))
-    traj = [(float(t), one) for t in np.linspace(0, 130, 261)]
-    params = ProblemParams(n=1, p=2, q=2, b=0.0, use_gradient=False)
-    r_exp = 0.5
-    taus = [8.0, 16.0, 32.0, 64.0]
-    rows = scaling_report(traj, params, taus, r_exp)
-    exponent = rows[0][2]
-    assert exponent == pytest.approx(1.0 + r_exp, abs=0.1)
-    assert all(row[2] == exponent for row in rows)
 
 
 # ---------------------------------------------------------------------------

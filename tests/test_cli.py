@@ -4,6 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -18,7 +22,7 @@ from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
 from fujitalab.core import ProblemParams, classify_positive
 from fujitalab.certificates import gaussian_certificate
-from fujitalab.grid import Field, ProfileSpec, RadialGrid
+from fujitalab.grid import M_MAX, Field, ProfileSpec, RadialGrid
 from fujitalab.solver import (SolveConfig, SolveStatus, comparison_tolerance,
                               run_batch)
 
@@ -475,6 +479,43 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def _memory_capped(argv):
+    """``fujitalab argv`` in a subprocess whose address space is capped at
+    1 GB, so that an input the lab fails to refuse cannot take more."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fujitalab.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--grid-m", str(M_MAX + 1)], f"error: --grid-m must be <= {M_MAX}"),
+    (["--steps", "1001"], "error: --steps must keep steps^2 <= 1000000 points"),
+    (["--steps", "100", "--grid-m", "999"],
+     f"error: --steps: the batch holds steps^2 * (grid_m + 2) nodes, "
+     f"at most {M_MAX + 2} (one grid of M = {M_MAX})"),
+], ids=["grid-m", "lattice-points", "lattice-nodes"])
+def test_scan_refuses_a_lattice_above_its_caps(tmp_path, extra, message):
+    out = tmp_path / "scan"
+    done = _memory_capped(SCAN_2X2 + extra + ["--out", str(out)])
+    assert (done.returncode, done.stderr.strip()) == (2, message)
+    assert not out.exists()
+
+
+def test_run_refuses_a_grid_above_the_cap(tmp_path):
+    doc = blowup_config(tmp_path / "out")
+    doc["grid"]["M"] = M_MAX + 1
+    done = _memory_capped(["run", str(write_config(tmp_path, doc))])
+    assert (done.returncode, done.stderr.strip()) == (
+        2, f"error: invalid config: M={M_MAX + 1} interior nodes exceed the cap "
+           f"M <= {M_MAX} (about 1 GB per run)")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_refuses_a_point_outside_the_standing_assumptions(tmp_path, capsys):
     # covers a refusal no other test reaches: p = 1 is not p > 1
     out = tmp_path / "scan"
@@ -785,9 +826,11 @@ def _scenario(grid_m, solve):
     })
 
 
-# M stays small: a valid scenario allocates its grid
-_scenarios = _scenario(_maybe(st.integers(2, 40)), st.fixed_dictionaries(
-    {}, optional={"t_end": _real(0.01, 10.0), **_solve_keys}))
+# M stays small: a valid scenario allocates its grid; a huge M, far above
+# M_MAX and above anything an allocator would try, must be refused
+_scenarios = _scenario(
+    _maybe(st.one_of(st.integers(2, 40), st.integers(10 ** 12, 10 ** 15))),
+    st.fixed_dictionaries({}, optional={"t_end": _real(0.01, 10.0), **_solve_keys}))
 # a run stays short: a tiny grid and t_end <= 1e-3
 _short_runs = _scenario(st.integers(2, 50), st.fixed_dictionaries(
     {"t_end": st.floats(1e-5, 1e-3)}, optional=_solve_keys))

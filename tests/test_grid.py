@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fujitalab.grid import (Field, ProfileSpec, RadialGrid, _integrate_rows,
-                            dipole_with_mean, field_to_csv, integrate, l1_norm,
-                            mean, sample_profile, sphere_area, sup_norm)
+                            dipole_with_mean, field_to_csv, integrate, mean,
+                            sample_profile, sphere_area)
 
 
 def test_grid_nodes_exact_endpoints():
@@ -131,13 +131,7 @@ def test_dipole_mean_tuning():
 
 def test_norms():
     g = RadialGrid(2, 3.0, 150)
-    c = Field(g, np.full_like(g.nodes, -2.5))
-    assert sup_norm(c) == 2.5
-    gauss = sample_profile(ProfileSpec.gaussian(0.4), g)
-    assert sup_norm(gauss) == pytest.approx(0.4)
     zero = sample_profile(ProfileSpec.zero(), g)
-    assert sup_norm(zero) == 0.0
-    assert l1_norm(zero) == 0.0
     assert mean(zero) == 0.0
 
 

@@ -14,8 +14,7 @@ from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
                                  laplacian_banded, principal_eigenpair, rhs)
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
                               TraceRecord, comparison_tolerance, detect_blowup,
-                              heat_reference, measure_plateau, run, run_batch,
-                              step, trace_to_csv)
+                              heat_reference, run, run_batch, trace_to_csv)
 
 
 def synthetic_trace(ts, sups):
@@ -28,16 +27,16 @@ def test_step_zero_equilibrium():
     g = RadialGrid(1, 8.0, 200)
     u = Field(g, np.zeros_like(g.nodes))
     params = ProblemParams(n=1, p=2, q=2, b=1.0)
-    out = step(u, 0.01, params)
-    assert np.all(out.values == 0.0)
+    out = solver._step(ImexStepper(g, 1.0), u.values[None], 0.01, Reaction(g, [params]))
+    assert np.all(out == 0.0)
 
 
 def test_step_preserves_boundary_value():
     g = RadialGrid(3, 6.0, 300)
     u = sample_profile(ProfileSpec.algebraic(0.1, 0.5), g)
     params = ProblemParams(n=3, p=2, q=2, b=1.0)
-    out = step(u, 1e-3, params)
-    assert out.values[-1] == u.values[-1]
+    out = solver._step(ImexStepper(g, 1.0), u.values[None], 1e-3, Reaction(g, [params]))
+    assert out[0, -1] == u.values[-1]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -322,26 +321,6 @@ def test_trace_csv_header_and_shape():
     assert lines[0] == "t,dt,sup_u,inf_u,l1_u,mean_u,sup_grad_u,kaplan_y"
     assert len(lines) == 6
     assert lines[1].endswith(",")  # kaplan column empty when not configured
-
-
-def test_measure_plateau():
-    g = RadialGrid(1, 40.0, 1500)
-    u0 = sample_profile(ProfileSpec.gaussian(1.0), g)
-    u0.values[-1] = 0.0
-    params = ProblemParams(n=1, p=2, q=1.2, b=1.0, use_source=False)
-    cfg = SolveConfig(t_end=10.0, dt_init=1e-3, dt_min=1e-6, dt_max=2e-2,
-                      trace_stride=10)
-    out = run(params, u0, None, cfg)
-    ell_hat, drift = measure_plateau(out.trace)
-    assert 0 < ell_hat <= 1.0
-    assert drift < 0.2
-    # the measured plateau feeds the ball-radius selection: the chosen R
-    # puts ell/2 strictly above the comparison-ODE threshold
-    from fujitalab.certificates import kaplan_radius, ode_comparison
-    lam1 = math.pi ** 2 / 4.0
-    R = kaplan_radius(2.0, ell_hat, lam1)
-    verdict = ode_comparison(ell_hat / 2.0, 2.0, lam1, R)
-    assert verdict.blows_up
 
 
 def test_kaplan_monitor_recorded():
