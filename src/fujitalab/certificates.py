@@ -26,36 +26,43 @@ import numpy as np
 
 from .core import critical_exponents
 from .grid import Field, RadialGrid
-from .operators import Eigenpair
+from .operators import laplacian_banded, principal_vector
 
 
 # ---------------------------------------------------------------------------
 # Kaplan functional and Bernoulli comparison ODE
 # ---------------------------------------------------------------------------
 
-def kaplan_functional(u: Field, pair: Eigenpair) -> float:
-    """y = int_{B_R} u phi dx against the mass-1 principal eigenfunction, as
-    the sum of u times ``kaplan_weights``: u may live on a larger ball B_L,
-    R <= L, and must be finite at every node, also outside B_R."""
+def kaplan_functional(u: Field, R: float) -> float:
+    """y = sum(u * kaplan_weights(u.grid, R)), the Kaplan functional of u over
+    B_R inside the grid's ball B_L; u must be finite at every node, also
+    outside B_R."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("cannot integrate a non-finite field")
-    return float((u.values * kaplan_weights(u.grid, pair)).sum())
+    return float((u.values * kaplan_weights(u.grid, R)).sum())
 
 
-def kaplan_weights(grid: RadialGrid, pair: Eigenpair) -> np.ndarray:
-    """w on ``grid`` with int_{B_R} u phi = sum(u * w): phi times its own grid's
-    weights, each node's share spread onto the two nodes of ``grid`` that
-    linearly interpolate u there."""
-    if grid.n != pair.phi.grid.n:
-        raise ValueError("field and eigenpair have different dimensions")
-    if pair.R > grid.L * (1.0 + 1e-12):
-        raise ValueError("eigenpair ball exceeds the field's domain")
-    r = pair.phi.grid.nodes
-    i = np.minimum(np.floor(r / grid.h_r), grid.M).astype(np.intp)  # r = L: the last cell
-    frac = (r - grid.nodes[i]) / grid.h_r
-    c = pair.phi.values * pair.phi.grid.weights
-    return (np.bincount(i, c * (1.0 - frac), minlength=grid.M + 2)
-            + np.bincount(i + 1, c * frac, minlength=grid.M + 2))
+def kaplan_weights(grid: RadialGrid, R: float) -> np.ndarray:
+    """The Kaplan weights w of the ball B_R on ``grid``, 2h <= R <= L: with
+    r_m the last node radius <= R, the principal left eigenvector of the
+    grid's own A on nodes 0..m-1 (Dirichlet at node m), summing to 1 and zero
+    from node m on.  As A = V^-1 S, w is the block's eigenfunction times the
+    shell volumes V.  Let lam_m be its eigenvalue of -A.  Then one theta = 1
+    step of u_t = Lap u + |u|^p + b |u_r|^q + h from u >= 0 with b >= 0 and
+    h >= 0 gives y = w.u with (1 + dt lam_m) y+ >= y + dt y^p up to rounding:
+    the flux into the block from node m is >= 0, and Jensen's inequality
+    holds for weights that sum to 1.  A theta < 1 step has no such guarantee.
+    """
+    if not 2.0 * grid.h_r <= R <= grid.L:
+        raise ValueError(f"kaplan_R: expected two grid cells 2L/(M+1) = {2.0 * grid.h_r!r} "
+                         f"<= kaplan_R <= L = {grid.L!r}, got {R!r}")
+    m = int(np.searchsorted(grid.nodes, R, side="right")) - 1
+    a = laplacian_banded(grid)[0][:, :m]
+    # the transposed block of -A: sub- and super-diagonal swap, one column apart
+    _, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
+    w = np.zeros(grid.M + 2)
+    w[:m] = x / x.sum()
+    return w
 
 
 @dataclass(frozen=True)

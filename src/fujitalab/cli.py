@@ -177,8 +177,8 @@ def parse_scenario(doc: dict):
 
     _check_keys(gr, {"L", "M"}, "grid")
     length = float(_field(gr, "L", Real, "grid"))
-    # keeps the squares and reciprocal squares of the grid spacing and of
-    # the Kaplan radius far inside the float range
+    # keeps the squares and reciprocal squares of the grid spacing far
+    # inside the float range
     if not 1e-50 <= length <= 1e50:
         raise ConfigError(f"grid.L: expected 1e-50 <= L <= 1e50, got {length!r}")
     grid = RadialGrid(params.n, length, _field(gr, "M", int, "grid"))
@@ -192,16 +192,10 @@ def parse_scenario(doc: dict):
             kw[key] = float(_field(sv, key, Real, "solve"))
     if "trace_stride" in sv:
         kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
-    # the Kaplan ball spans at least one grid cell, lies inside B_L and,
-    # like B_L, is a ball the grid can integrate on
-    if "kaplan_R" in kw:
-        if not grid.h_r <= kw["kaplan_R"] <= grid.L:
-            raise ConfigError(f"solve.kaplan_R: expected grid.L/(grid.M+1) = {grid.h_r!r} "
-                              f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
-        try:
-            RadialGrid(params.n, kw["kaplan_R"], 2)
-        except ValueError as exc:
-            raise ConfigError(f"solve.kaplan_R: {exc}") from None
+    # the Kaplan ball spans at least two grid cells and lies inside B_L
+    if "kaplan_R" in kw and not 2.0 * grid.h_r <= kw["kaplan_R"] <= grid.L:
+        raise ConfigError(f"solve.kaplan_R: expected 2 grid.L/(grid.M+1) = {2.0 * grid.h_r!r} "
+                          f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
 
     profile = _parse_profile(profile_doc)
     _check_keys(out, {"dir", "stride"}, "output")

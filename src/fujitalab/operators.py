@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .core import ProblemParams, Real
 from .grid import Field, RadialGrid, integrate
@@ -208,37 +208,40 @@ class Eigenpair:
 
     lam: float
     phi: Field
-    R: float
 
 
-def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
-    """Smallest Dirichlet eigenvalue and its eigenfunction, without iteration.
-
-    Solves the radial problem -(phi'' + (n-1)/r phi') = lam phi, phi(R) = 0,
-    phi'(0) = 0 on the discrete Laplacian.  -A is similar to the symmetric
-    tridiagonal with diagonal -A_ii and off-diagonal sqrt(A_{i,i+1} A_{i+1,i}),
-    so one LAPACK bisection gives lam.  Two solves of (-A - sigma I) x = b,
-    sigma just below lam, from b = 1 and then from the first x, give phi; each
-    shrinks mode k by (lam - sigma)/(lam_k - sigma).  The residual
-    |Lap phi + lam phi| must stay below 1e-6 max(1, lam) of phi's sup norm.
-    """
-    if M < 100:
-        raise ValueError("eigenpair grid needs M >= 100")
-    grid = RadialGrid(n, float(R), M)
-    neg = -laplacian_banded(grid)[0]  # -Lap is positive definite on Dirichlet functions
+def principal_vector(neg: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Smallest eigenvalue lam of the tridiagonal M-matrix ``neg`` ((1,1) banded
+    layout) and its eigenvector x > 0, sup norm 1, without iteration: one LAPACK
+    bisection on the similar symmetric tridiagonal (off-diagonal
+    sqrt(neg_{i,i+1} neg_{i+1,i})), then two ``dgtsv`` solves of (neg - sigma I) x = b,
+    sigma just below lam, from b = 1 and then from the first x, each shrinking
+    mode k by (lam - sigma)/(lam_k - sigma); |neg x - lam x| must stay below
+    1e-6 max(1, lam)."""
     lam = float(eigvalsh_tridiagonal(neg[1], np.sqrt(neg[0, 1:] * neg[2, :-1]),
                                      select="i", select_range=(0, 0))[0])
-    sigma = lam * (1.0 - 1e-6)  # below lam, so -A - sigma I is an M-matrix and x > 0
-    lu = banded_lu(neg - [[0.0], [sigma], [0.0]])
-    x = banded_lu_solve(lu, np.ones(M + 1))
-    x = banded_lu_solve(lu, x / np.max(np.abs(x)))
+    sigma = lam * (1.0 - 1e-6)  # below lam, so neg - sigma I is an M-matrix and x > 0
+    x = np.ones(neg.shape[1])
+    for _ in range(2):
+        *_, x, info = dgtsv(neg[2, :-1], neg[1] - sigma, neg[0, 1:], x / np.max(np.abs(x)))
+        if info != 0:
+            raise LinAlgError("singular matrix")
     x /= x[np.argmax(np.abs(x))]  # sup norm 1, positive at the peak
     # the residual scales with lam, which grows as R^-2 on small balls
     resid_rel = float(np.max(np.abs(_banded_matvec(neg, x) - lam * x)) / max(1.0, lam))
     if not resid_rel <= 1e-6:  # a NaN residual fails too
         raise RuntimeError(f"eigenpair solve missed the eigenvector "
                            f"(lam {lam!r}, residual {resid_rel:.2e})")
+    return lam, x
 
+
+def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
+    """Smallest Dirichlet eigenvalue of -(phi'' + (n-1)/r phi') on B_R and its
+    eigenfunction: ``principal_vector`` of -A on the grid, normalized to mass 1."""
+    if M < 100:
+        raise ValueError("eigenpair grid needs M >= 100")
+    grid = RadialGrid(n, float(R), M)
+    lam, x = principal_vector(-laplacian_banded(grid)[0])
     values = np.concatenate([x, [0.0]])
     mass = integrate(Field(grid, values))
     if not mass >= sys.float_info.min:
@@ -247,4 +250,4 @@ def principal_eigenpair(n: int, R: float, M: int) -> Eigenpair:
     phi = Field(grid, values / mass)
     if np.any(phi.values[:-1] <= 0):
         raise RuntimeError("principal eigenfunction is not positive in the interior")
-    return Eigenpair(lam=lam, phi=phi, R=float(R))
+    return Eigenpair(lam=lam, phi=phi)

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.integrate import solve_ivp
 
 import fujitalab as fl

@@ -15,9 +15,11 @@ from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
                                     ode_comparison, rate_exponents,
                                     stationary_certificate,
                                     supersolution_residual)
+from fujitalab.core import ProblemParams
 from fujitalab.grid import (Field, ProfileSpec, RadialGrid, integrate,
                             sample_profile)
-from fujitalab.operators import principal_eigenpair
+from fujitalab.operators import laplacian_banded, principal_eigenpair
+from fujitalab.solver import SolveConfig, SolveStatus, run
 
 
 def ode_blowup_time_oracle(y0: float, p: float, a: float) -> float:
@@ -43,35 +45,75 @@ def ode_blowup_time_oracle(y0: float, p: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_kaplan_functional_normalization():
-    pair = principal_eigenpair(1, 1.0, 1000)
     g = RadialGrid(1, 12.0, 1200)
     c = Field(g, np.full_like(g.nodes, 2.5))
-    assert kaplan_functional(c, pair) == pytest.approx(2.5, rel=1e-10)
+    assert kaplan_functional(c, 1.0) == pytest.approx(2.5, rel=1e-10)
 
 
 def test_kaplan_functional_self_integral():
     # int phi^2 = pi^2/16 for the mass-1 eigenfunction on (-1, 1)
     pair = principal_eigenpair(1, 1.0, 2000)
-    y = kaplan_functional(pair.phi, pair)
+    y = kaplan_functional(pair.phi, 1.0)
     assert y == pytest.approx(math.pi ** 2 / 16.0, rel=1e-4)
 
 
 def test_kaplan_functional_lower_bound():
     ell = 0.8
-    pair = principal_eigenpair(1, 2.0, 1000)
     g = RadialGrid(1, 12.0, 1200)
     u = Field(g, ell / 2.0 + sample_profile(ProfileSpec.gaussian(0.3), g).values)
-    assert kaplan_functional(u, pair) >= ell / 2.0 - 1e-9
+    assert kaplan_functional(u, 2.0) >= ell / 2.0 - 1e-9
 
 
 def test_kaplan_functional_rejects_incompatible():
-    pair = principal_eigenpair(1, 5.0, 1000)
     g = RadialGrid(2, 12.0, 100)
-    with pytest.raises(ValueError):
-        kaplan_functional(Field(g, np.zeros_like(g.nodes)), pair)
+    with pytest.raises(ValueError, match="kaplan_R"):
+        kaplan_functional(Field(g, np.zeros_like(g.nodes)), 1.5 * g.h_r)
     small = RadialGrid(1, 2.0, 100)
-    with pytest.raises(ValueError):
-        kaplan_functional(Field(small, np.zeros_like(small.nodes)), pair)
+    with pytest.raises(ValueError, match="kaplan_R"):
+        kaplan_functional(Field(small, np.zeros_like(small.nodes)), 5.0)
+
+
+def kaplan_block(g, R):
+    """m and the dense leading m x m block of -A, r_m the last node radius <= R."""
+    m = int(np.flatnonzero(g.nodes <= R)[-1])
+    ab = laplacian_banded(g)[0]
+    return m, -(np.diag(ab[1, :m]) + np.diag(ab[0, 1:m], 1) + np.diag(ab[2, :m - 1], -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [300, 1200])
+@pytest.mark.parametrize("R", ["2h", 3.0, "L"])
+def test_kaplan_weights_are_the_left_perron_vector_of_the_block(n, M, R):
+    g = RadialGrid(n, 12.0, M)
+    R = {"2h": 2.0 * g.h_r, "L": g.L}.get(R, R)
+    w = kaplan_weights(g, R)
+    m, block = kaplan_block(g, R)
+    assert np.all(w[:m] > 0) and np.all(w[m:] == 0.0)
+    assert w.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+    # a positive left eigenvector of an irreducible M-matrix is the Perron one
+    left = w[:m] @ block
+    lam = left.sum()  # w sums to 1
+    assert lam > 0
+    assert np.max(np.abs(left - lam * w[:m])) <= 1e-6 * max(1.0, lam) * np.max(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("R", [3.0, 12.0])
+@pytest.mark.parametrize("amplitude", [0.5, 5.0], ids=["decays", "blows-up"])
+def test_kaplan_y_obeys_the_discrete_kaplan_inequality_at_every_step(n, R, amplitude):
+    # a theta = 1 step from u >= 0, b >= 0, h = 0:
+    # (1 + dt lam_m) y+ >= y + dt y^p up to rounding
+    g = RadialGrid(n, 12.0, 300)
+    p = 3.0
+    out = run(ProblemParams(n=n, p=p, q=2, b=0.0),
+              sample_profile(ProfileSpec.gaussian(amplitude), g), None,
+              SolveConfig(t_end=2.0, trace_stride=1, kaplan_R=R))
+    assert out.status is (SolveStatus.BLOW_UP if amplitude > 1 else SolveStatus.REACHED_HORIZON)
+    m, block = kaplan_block(g, R)
+    lam = float((kaplan_weights(g, R)[:m] @ block).sum())
+    slack = [((1.0 + r1.dt * lam) * r1.kaplan_y - r0.kaplan_y - r1.dt * r0.kaplan_y ** p)
+             / ((1.0 + r1.dt * lam) * r1.kaplan_y) for r0, r1 in zip(out.trace, out.trace[1:])]
+    assert len(slack) > 50 and min(slack) >= -1e-12
 
 
 def interpolated_kaplan(u, pair):
@@ -83,29 +125,28 @@ def interpolated_kaplan(u, pair):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("M", [300, 1200])
-@pytest.mark.parametrize("R", ["h_r", 3.0, "L"])
+@pytest.mark.parametrize("R", [3.0, "L"])
 def test_kaplan_weights_match_interpolation_then_quadrature(n, M, R):
+    # the weights approximate int_{B_R'} u phi_R' dx, R' = r_m the last node
+    # radius <= R, to the grid's discretization error h^2
     g = RadialGrid(n, 12.0, M)
-    R = {"h_r": g.h_r, "L": g.L}.get(R, R)
-    pair = principal_eigenpair(n, R, max(200, M // 2))
-    w = kaplan_weights(g, pair)
+    R = g.L if R == "L" else R
+    pair = principal_eigenpair(n, float(g.nodes[g.nodes <= R][-1]), 4000)
+    w = kaplan_weights(g, R)
     rng = np.random.default_rng(100 * n + M)
     for _ in range(4):
-        # nonnegative, as Kaplan's argument needs; rough from node to node
-        u = Field(g, np.abs(rng.standard_normal(g.nodes.shape))
-                  * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0)))
+        u = Field(g, rng.uniform(0.5, 2.0) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0)))
         got = float((u.values * w).sum())
-        assert got == pytest.approx(interpolated_kaplan(u, pair), rel=4e-15, abs=0.0)
-        assert kaplan_functional(u, pair) == got
+        assert got == pytest.approx(interpolated_kaplan(u, pair), rel=g.h_r ** 2, abs=0.0)
+        assert kaplan_functional(u, R) == got
 
 
 def test_kaplan_functional_refuses_a_field_non_finite_outside_the_ball():
-    pair = principal_eigenpair(1, 3.0, 200)
     g = RadialGrid(1, 12.0, 300)
     u = Field(g, np.ones_like(g.nodes))
     u.values[-1] = np.inf  # node M+1, r = L, outside B_3
     with pytest.raises(ValueError, match="non-finite"):
-        kaplan_functional(u, pair)
+        kaplan_functional(u, 3.0)
 
 
 def test_ode_comparison_closed_forms():

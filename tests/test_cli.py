@@ -560,9 +560,10 @@ def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
     ("kaplan_R", 20.0),
     ("kaplan_R", -1.0),
     ("kaplan_R", 1e-300),
+    ("kaplan_R", 1.5 * 12.0 / 301),  # 1.5 cells of blowup_config's grid
 ], ids=["t_end-infinite", "t_end-negative", "dt_max-infinite", "growth_cap-zero",
         "growth_cap-negative", "kaplan_R-beyond-L", "kaplan_R-negative",
-        "kaplan_R-below-one-cell"])
+        "kaplan_R-below-one-cell", "kaplan_R-below-two-cells"])
 def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
@@ -606,16 +607,15 @@ def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, L, M, kaplan_R, profile, key", [
     (300, 12.0, 400, None, None, "radius L=12.0"),
-    (300, 3.0, 400, 0.05, None, "kaplan_R"),
     (300, 10.6, 400, None, {"kind": "algebraic", "amplitude": 1e200, "k": 0.01}, "profile"),
     (1, 1e-6, 400, None, {"kind": "gaussian", "amplitude": 1e300}, "profile"),
     (1, 2.0, 2, None, {"kind": "gaussian", "amplitude": 1e308}, "profile"),
-], ids=["ball-overflows", "kaplan-ball-underflows", "trace-integral-overflows",
+], ids=["ball-overflows", "trace-integral-overflows",
         "trace-gradient-overflows", "trace-integral-and-gradient-overflow"])
 def test_run_rejects_a_ball_out_of_float_range(tmp_path, capsys, n, L, M, kaplan_R,
                                                profile, key):
     # the quadrature weight sphere_area(n) r^(n-1) leaves the float range:
-    # 12^300 overflows, 0.05^300 underflows.  Or a trace value of a field of
+    # 12^300 overflows.  Or a trace value of a field of
     # the largest sup a run can record, max(sup |u0|, 1e8) * 1.1, overflows:
     # at n = 300, L = 10.6 the bound 1.1e200 times the ball's volume
     # 2.7e119; on L = 1e-6 the gradient 1.1e300 / h; on L = 2, both
@@ -649,17 +649,19 @@ def test_run_records_finite_integrals_on_a_large_ball(tmp_path):
     assert float(rows[0]["l1_u"]) == pytest.approx(1.638e122, rel=1e-3)
 
 
-def test_run_refuses_a_kaplan_ball_whose_eigenfunction_cannot_be_normalized(tmp_path, capsys):
-    # sphere_area(300) * 0.4^300 is about 1e-306, a normal float, but the
-    # eigenfunction's mass underflows to 0
-    doc = blowup_config(tmp_path / "out")
+@pytest.mark.parametrize("kaplan_R", [0.05, 0.4])
+def test_run_takes_a_small_kaplan_ball_in_a_high_dimension(tmp_path, kaplan_R):
+    # sphere_area(300) * 0.05^300 underflows a float, and a mass-1
+    # eigenfunction of B_0.4 at n = 300 cannot be normalized; the weights,
+    # a left eigenvector of the run's own A summing to 1, need neither
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
     doc["problem"]["n"] = 300
     doc["grid"] = {"L": 3.0, "M": 400}
-    doc["solve"] = {"t_end": 1e-3, "kaplan_R": 0.4}
-    assert main(["run", str(write_config(tmp_path, doc))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid config: ")
-    assert "R=0.4" in err and "n=300" in err and "Traceback" not in err
+    doc["solve"] = {"t_end": 1e-3, "kaplan_R": kaplan_R}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    rows = list(csv.DictReader(io.StringIO((out_dir / "trace.csv").read_text())))
+    assert rows and all(math.isfinite(float(row["kaplan_y"])) for row in rows)
 
 
 @pytest.mark.parametrize("eps", [-0.01, 0.0], ids=["negative", "zero"])
@@ -845,7 +847,7 @@ def test_parse_scenario_fuzz_rejects_or_gives_a_finite_start(doc):
         return
     assert np.all(np.isfinite(u0.values))
     assert h is None or np.all(np.isfinite(h.values))
-    assert config.kaplan_R is None or 0 < config.kaplan_R <= grid.L
+    assert config.kaplan_R is None or 2.0 * grid.h_r <= config.kaplan_R <= grid.L
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -11,7 +11,7 @@ from fujitalab.core import ProblemParams
 from fujitalab.certificates import kaplan_functional, kaplan_weights
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
 from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
-                                 laplacian_banded, principal_eigenpair, rhs)
+                                 laplacian_banded, rhs)
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
                               TraceRecord, comparison_tolerance, detect_blowup,
                               heat_reference, run, run_batch, trace_to_csv)
@@ -341,10 +341,9 @@ def test_kaplan_monitor_recorded():
 @pytest.mark.parametrize("kaplan", [False, True], ids=["no-kaplan", "kaplan"])
 def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
     g = RadialGrid(n, 12.0, M)
-    pair = principal_eigenpair(n, 3.0, max(200, M // 2)) if kaplan else None
     rng = np.random.default_rng(K * n * M)
     v = rng.standard_normal((K, M + 2)) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0))
-    records = solver._record(0.25, 1e-3, v, g, kaplan_weights(g, pair) if kaplan else None)
+    records = solver._record(0.25, 1e-3, v, g, kaplan_weights(g, 3.0) if kaplan else None)
     assert len(records) == K
     for rec, row in zip(records, v):
         u = Field(g, row)
@@ -352,7 +351,7 @@ def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
             t=0.25, dt=1e-3, sup_u=float(np.max(row)), inf_u=float(np.min(row)),
             l1_u=integrate(Field(g, np.abs(row))), mean_u=integrate(u),
             sup_grad_u=float(np.max(gradient_magnitude(u).values)),
-            kaplan_y=kaplan_functional(u, pair) if kaplan else None)
+            kaplan_y=kaplan_functional(u, 3.0) if kaplan else None)
         assert rec == want
 
 
@@ -554,8 +553,8 @@ def test_run_batch_rejects_mixed_problems():
 @pytest.mark.parametrize("columns, forcing_m, kaplan_R, message", [
     (2, None, None, "one initial field per problem"),
     (1, 300, None, "different grids"),
-    (1, None, 13.0, "kaplan_R exceeds the truncation radius"),
-    (1, None, 1e-300, "kaplan_R must be at least one grid cell"),
+    (1, None, 13.0, "kaplan_R: expected two grid cells"),
+    (1, None, 1e-300, "kaplan_R: expected two grid cells"),
 ], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L", "kaplan_R-below-one-cell"])
 def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     u0s = gaussian_data(RadialGrid(1, 12.0, 200), [0.1])
