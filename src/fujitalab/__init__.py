@@ -10,11 +10,9 @@ from .operators import (Eigenpair, gradient_magnitude, laplacian,
                         principal_eigenpair, rhs)
 from .certificates import (GaussianCertificate, OdeVerdict, RateExponents,
                            StationaryCertificate, certificate_to_json,
-                           constructed_forcing, gaussian_certificate,
-                           gaussian_supersolution, kaplan_functional,
-                           ode_comparison, rate_exponents,
-                           stationary_certificate, stationary_profile,
-                           supersolution_residual)
+                           gaussian_certificate, gaussian_supersolution,
+                           kaplan_functional, ode_comparison, rate_exponents,
+                           stationary_certificate, supersolution_residual)
 from .solver import (SolveConfig, SolveOutcome, SolveStatus, TraceRecord,
                      TRUNCATION_NOTE, comparison_tolerance, detect_blowup,
                      heat_reference, run, trace_to_csv)
@@ -27,10 +25,10 @@ __all__ = [
     "integrate", "mean", "sample_profile",
     "Eigenpair", "gradient_magnitude", "laplacian", "principal_eigenpair", "rhs",
     "GaussianCertificate", "OdeVerdict", "RateExponents",
-    "StationaryCertificate", "certificate_to_json", "constructed_forcing",
+    "StationaryCertificate", "certificate_to_json",
     "gaussian_certificate", "gaussian_supersolution", "kaplan_functional",
     "ode_comparison", "rate_exponents",
-    "stationary_certificate", "stationary_profile", "supersolution_residual",
+    "stationary_certificate", "supersolution_residual",
     "SolveConfig", "SolveOutcome", "SolveStatus", "TraceRecord",
     "TRUNCATION_NOTE", "comparison_tolerance", "detect_blowup",
     "heat_reference", "run", "trace_to_csv",

@@ -42,6 +42,16 @@ def kaplan_functional(u: Field, R: float) -> float:
     return float((u.values * kaplan_weights(u.grid, R)).sum())
 
 
+def kaplan_nodes(grid: RadialGrid, R: float) -> int:
+    """m with r_m the last node radius <= R: the Kaplan ball B_R on ``grid``
+    holds nodes 0..m-1.  Refused unless the ball spans two grid cells and
+    lies inside B_L, 2h <= R <= L."""
+    if not 2.0 * grid.h_r <= R <= grid.L:
+        raise ValueError(f"kaplan_R: expected two grid cells 2L/(M+1) = {2.0 * grid.h_r!r} "
+                         f"<= kaplan_R <= L = {grid.L!r}, got {R!r}")
+    return int(np.searchsorted(grid.nodes, R, side="right")) - 1
+
+
 def kaplan_weights(grid: RadialGrid, R: float) -> np.ndarray:
     """The Kaplan weights w of the ball B_R on ``grid``, 2h <= R <= L: with
     r_m the last node radius <= R, the principal left eigenvector of the
@@ -53,10 +63,7 @@ def kaplan_weights(grid: RadialGrid, R: float) -> np.ndarray:
     the flux into the block from node m is >= 0, and Jensen's inequality
     holds for weights that sum to 1.  A theta < 1 step has no such guarantee.
     """
-    if not 2.0 * grid.h_r <= R <= grid.L:
-        raise ValueError(f"kaplan_R: expected two grid cells 2L/(M+1) = {2.0 * grid.h_r!r} "
-                         f"<= kaplan_R <= L = {grid.L!r}, got {R!r}")
-    m = int(np.searchsorted(grid.nodes, R, side="right")) - 1
+    m = kaplan_nodes(grid, R)
     a = laplacian_banded(grid)[0][:, :m]
     # the transposed block of -A: sub- and super-diagonal swap, one column apart
     _, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
@@ -287,11 +294,6 @@ class StationaryCertificate:
     h: Field
 
 
-def stationary_profile(eps: float, k: float, grid: RadialGrid) -> Field:
-    r = grid.nodes
-    return Field(grid, eps * (1.0 + r * r) ** (-k))
-
-
 def constructed_forcing(eps: float, k: float, p: float, q: float, b: float,
                         grid: RadialGrid) -> Field:
     """Analytic h = -Lap v - v^p - b |grad v|^q for v = eps (1+r^2)^(-k)."""
@@ -355,7 +357,7 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
         grid = RadialGrid(n, 12.0, 1200)
     if grid.n != n:
         raise ValueError("grid dimension does not match the certificate")
-    v = stationary_profile(eps, k, grid)
+    v = Field(grid, eps * (1.0 + grid.nodes * grid.nodes) ** (-k))
     h = constructed_forcing(eps, k, p, q, b, grid)
     if not np.all(h.values > 0.0):
         raise ValueError("constructed forcing is not positive at every node")

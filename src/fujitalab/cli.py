@@ -19,11 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .certificates import (certificate_to_json, gaussian_certificate,
-                           gaussian_supersolution, stationary_certificate)
+                           gaussian_supersolution, kaplan_nodes,
+                           stationary_certificate)
 from .core import (ProblemParams, Real, RegimeVerdict, Verdict,
                    classify_positive, critical_exponents)
-from .grid import (M_MAX, Field, ProfileSpec, RadialGrid, field_to_csv,
-                   sample_profile)
+from .grid import (M_MAX, Field, Primitive, ProfileSpec, RadialGrid,
+                   field_to_csv, sample_profile)
 from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
                      trace_to_csv)
@@ -74,27 +75,56 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
 
 
 def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``obj[key]`` checked to be a ``kind``: bool, int, str, dict, list or Real
-    (a number or [num, den] pair, see ``_number``); ``default`` if absent."""
+    """``obj[key]`` checked to be a ``kind``: bool, int, str, dict, list, Real
+    (a number or [num, den] pair, see ``_number``), float (a Real, rounded)
+    or object (anything); ``default`` if absent."""
     if key not in obj:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     value = obj[key]
-    if kind is Real:
-        return _number(value, f"{where}.{key}")
+    if kind is Real or kind is float:
+        value = _number(value, f"{where}.{key}")
+        return float(value) if kind is float else value
     # bool is a subclass of int, but true is not an integer here
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{where}.{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
+def _section(obj: dict, table: dict, where: str, required=()) -> dict:
+    """The keys of ``obj`` that ``table`` (key -> kind, see ``_field``) names,
+    read in the table's order; any other key is refused, and each
+    ``required`` key must be there."""
+    _check_keys(obj, set(table), where)
+    return {key: _field(obj, key, kind, where) for key, kind in table.items()
+            if key in obj or key in required}
+
+
+# Each section's keys and kinds, in the order they are checked.  An absent
+# key takes the default of the object it fills; the forcing is checked by
+# ``_parse_forcing``, and the output stride is ``SolveConfig.trace_stride``.
+_CONFIG_KEYS = {"problem": dict, "profile": dict, "forcing": object, "grid": dict,
+                "solve": dict, "output": dict}
+_PROBLEM_KEYS = {"n": int, "p": Real, "q": Real, "b": Real, "use_source": bool,
+                 "use_gradient": bool}
+_GRID_KEYS = {"L": float, "M": int}
+_SOLVE_KEYS = {"t_end": float, "dt_init": float, "dt_min": float, "dt_max": float,
+               "blowup_threshold": float, "growth_cap": float, "theta_scheme": float,
+               "kaplan_R": float}
+_OUTPUT_KEYS = {"dir": str, "stride": int}
+# the keys of each primitive profile kind besides "kind", all required reals
+_PRIMITIVE_KEYS = {"gaussian": ("amplitude",), "algebraic": ("amplitude", "k"),
+                   "annular_bump": ("amplitude", "center", "width"), "zero": ()}
+
+
 def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
-
-    def real(key: str) -> float:
-        return float(_field(obj, key, Real, where))
+    kind = obj["kind"]
+    if isinstance(kind, str) and kind in _PRIMITIVE_KEYS:
+        table = {"kind": str, **dict.fromkeys(_PRIMITIVE_KEYS[kind], float)}
+        return ProfileSpec((Primitive(**_section(obj, table, where, required=table)),))
 
     def pair(key: str) -> list:
         values = _field(obj, key, list, where)
@@ -102,23 +132,11 @@ def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
             raise ConfigError(f"{where}.{key}: expected two numbers, got {values!r}")
         return [float(_number(x, f"{where}.{key}")) for x in values]
 
-    kind = obj["kind"]
-    if kind == "gaussian":
-        _check_keys(obj, {"kind", "amplitude"}, where)
-        return ProfileSpec.gaussian(real("amplitude"))
-    if kind == "algebraic":
-        _check_keys(obj, {"kind", "amplitude", "k"}, where)
-        return ProfileSpec.algebraic(real("amplitude"), real("k"))
-    if kind == "annular_bump":
-        _check_keys(obj, {"kind", "amplitude", "center", "width"}, where)
-        return ProfileSpec.annular_bump(real("amplitude"), real("center"), real("width"))
     if kind == "signed_dipole":
         _check_keys(obj, {"kind", "a_plus", "a_minus", "centers", "widths"}, where)
-        return ProfileSpec.signed_dipole(real("a_plus"), real("a_minus"),
+        return ProfileSpec.signed_dipole(_field(obj, "a_plus", float, where),
+                                         _field(obj, "a_minus", float, where),
                                          pair("centers"), pair("widths"))
-    if kind == "zero":
-        _check_keys(obj, {"kind"}, where)
-        return ProfileSpec.zero()
     if kind == "sum":
         _check_keys(obj, {"kind", "parts"}, where)
         parts = [_parse_profile(part, f"{where}.parts[{i}]")
@@ -143,16 +161,15 @@ def _parse_forcing(obj: dict, params: ProblemParams, grid: RadialGrid) -> Option
         return None
     if kind == "gaussian":
         _check_keys(obj, {"kind", "amplitude"}, "forcing")
-        amplitude = float(_field(obj, "amplitude", Real, "forcing"))
+        amplitude = _field(obj, "amplitude", float, "forcing")
         if amplitude < 0:
             raise ConfigError("gaussian forcing needs amplitude >= 0")
         return sample_profile(ProfileSpec.gaussian(amplitude), grid)
     if kind == "constructed_stationary":
         _check_keys(obj, {"kind", "eps"}, "forcing")
-        eps = _field(obj, "eps", Real, "forcing", None)
+        eps = _field(obj, "eps", float, "forcing", None)
         return stationary_certificate(params.n, float(params.p), float(params.q),
-                                      float(params.b), grid=grid,
-                                      eps=None if eps is None else float(eps)).h
+                                      float(params.b), grid=grid, eps=eps).h
     raise ConfigError(f"forcing: unknown kind {kind!r}")
 
 
@@ -160,52 +177,24 @@ def parse_scenario(doc: dict):
     """The inputs of ``run``: (params, grid, config, profile, u0, h, out_dir)."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, {"problem", "profile", "forcing", "grid", "solve", "output"}, "config")
-    prob, profile_doc, gr, sv = (_field(doc, key, dict, "config")
-                                 for key in ("problem", "profile", "grid", "solve"))
-    out = _field(doc, "output", dict, "config", {})
-
-    _check_keys(prob, {"n", "p", "q", "b", "use_source", "use_gradient"}, "problem")
-    params = ProblemParams(
-        n=_field(prob, "n", int, "problem"),
-        p=_field(prob, "p", Real, "problem"),
-        q=_field(prob, "q", Real, "problem"),
-        b=_field(prob, "b", Real, "problem", 1.0),
-        use_source=_field(prob, "use_source", bool, "problem", True),
-        use_gradient=_field(prob, "use_gradient", bool, "problem", True),
-    )
-
-    _check_keys(gr, {"L", "M"}, "grid")
-    length = float(_field(gr, "L", Real, "grid"))
+    sections = _section(doc, _CONFIG_KEYS, "config",
+                        required=("problem", "profile", "grid", "solve"))
+    params = ProblemParams(**_section(sections["problem"], _PROBLEM_KEYS, "problem",
+                                      required=("n", "p", "q")))
+    gr = _section(sections["grid"], _GRID_KEYS, "grid", required=_GRID_KEYS)
     # keeps the squares and reciprocal squares of the grid spacing far
     # inside the float range
-    if not 1e-50 <= length <= 1e50:
-        raise ConfigError(f"grid.L: expected 1e-50 <= L <= 1e50, got {length!r}")
-    grid = RadialGrid(params.n, length, _field(gr, "M", int, "grid"))
-
-    _check_keys(sv, {"t_end", "dt_init", "dt_min", "dt_max", "blowup_threshold",
-                     "growth_cap", "theta_scheme", "trace_stride", "kaplan_R"}, "solve")
-    kw = {}
-    for key in ("t_end", "dt_init", "dt_min", "dt_max", "blowup_threshold",
-                "growth_cap", "theta_scheme", "kaplan_R"):
-        if key in sv:
-            kw[key] = float(_field(sv, key, Real, "solve"))
-    if "trace_stride" in sv:
-        kw["trace_stride"] = _field(sv, "trace_stride", int, "solve")
-    # the Kaplan ball spans at least two grid cells and lies inside B_L
-    if "kaplan_R" in kw and not 2.0 * grid.h_r <= kw["kaplan_R"] <= grid.L:
-        raise ConfigError(f"solve.kaplan_R: expected 2 grid.L/(grid.M+1) = {2.0 * grid.h_r!r} "
-                          f"<= kaplan_R <= grid.L = {grid.L!r}, got {kw['kaplan_R']!r}")
-
-    profile = _parse_profile(profile_doc)
-    _check_keys(out, {"dir", "stride"}, "output")
-    out_dir = _field(out, "dir", str, "output", "out")
+    if not 1e-50 <= gr["L"] <= 1e50:
+        raise ConfigError(f"grid.L: expected 1e-50 <= L <= 1e50, got {gr['L']!r}")
+    grid = RadialGrid(params.n, **gr)
+    solve = _section(sections["solve"], _SOLVE_KEYS, "solve")
+    if "kaplan_R" in solve:  # refused here, before the output directory is made
+        kaplan_nodes(grid, solve["kaplan_R"])
+    profile = _parse_profile(sections["profile"])
+    out = _section(sections.get("output", {}), _OUTPUT_KEYS, "output")
     if "stride" in out:
-        stride = _field(out, "stride", int, "output")
-        if kw.setdefault("trace_stride", stride) != stride:
-            raise ConfigError(f"output.stride = {stride!r} disagrees with "
-                              f"solve.trace_stride = {kw['trace_stride']!r}")
-    config = SolveConfig(**kw)
+        solve["trace_stride"] = out["stride"]
+    config = SolveConfig(**solve)
     # every recorded sup is <= v_max (NaN for a non-finite profile), so these bound the trace
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = sample_profile(profile, grid)
@@ -215,13 +204,13 @@ def parse_scenario(doc: dict):
     if not np.all(np.isfinite(bounds)):
         raise ConfigError(f"profile: a run may record a sup of max({sup0!r}, blowup_threshold) "
                           f"* (1 + growth_cap) = {v_max!r}, whose trace is out of float range")
-    forcing = doc.get("forcing", {"kind": "none"})
+    forcing = sections.get("forcing", {"kind": "none"})
     h = _parse_forcing(forcing, params, grid)
     # a run holds u's boundary value fixed; the constructed steady state is
     # positive at r = L, so its boundary keeps the profile's value
     if forcing["kind"] != "constructed_stationary":
         u0.values[-1] = 0.0  # Dirichlet truncation
-    return params, grid, config, profile, u0, h, out_dir
+    return params, grid, config, profile, u0, h, out.get("dir", "out")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv
 
 from .core import ProblemParams, Real
 from .grid import Field, RadialGrid, integrate
@@ -167,28 +167,6 @@ def laplacian_banded(grid: RadialGrid) -> Tuple[np.ndarray, float]:
     ab[2, 0:m - 1] = c_minus
     ab[0, 2:] = c_plus[:-1]
     return ab, float(c_plus[-1])
-
-
-BandedLU = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def banded_lu(ab: np.ndarray) -> BandedLU:
-    """LAPACK ``dgttrf`` factors of a tridiagonal matrix in (1,1) banded layout.
-
-    ``dgttrf`` followed by ``dgttrs`` pivots and rounds exactly as the
-    ``dgtsv`` behind ``solve_banded((1, 1), ab, b)``, so a solve from these
-    factors is bit-identical to that call.
-    """
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info != 0:
-        raise LinAlgError("singular matrix")
-    return tuple(lu)
-
-
-def banded_lu_solve(lu: BandedLU, b: np.ndarray) -> np.ndarray:
-    """Solve with factors from ``banded_lu``; ``b`` is overwritten."""
-    x, _ = dgttrs(*lu, b, overwrite_b=True)
-    return x
 
 
 def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:

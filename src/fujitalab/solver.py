@@ -36,14 +36,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .certificates import kaplan_weights
 from .core import ProblemParams
 from .grid import Field, RadialGrid, _integrate_rows
-from .operators import (BandedLU, Reaction, _boundary_gradient,
-                        _gradient_rows, _laplacian_unknowns, banded_lu,
-                        banded_lu_solve, laplacian_banded)
+from .operators import (Reaction, _boundary_gradient, _gradient_rows,
+                        _laplacian_unknowns, laplacian_banded)
 # no caller here: kept so the benchmark tracer (bench/tracer.py) can wrap them
 from scipy.linalg import solve_banded  # noqa: F401
 from .certificates import kaplan_functional  # noqa: F401
@@ -132,25 +131,27 @@ class ImexStepper:
         self.theta = theta
         self.ab, self.c_boundary = laplacian_banded(grid)
         self._dt: Optional[float] = None
-        self._lu: Optional[BandedLU] = None
+        self._lu: Optional[tuple] = None  # dgttrf's (dl, d, du, du2, ipiv)
 
     def solve(self, dt: float, b: np.ndarray) -> np.ndarray:
         """x with (I - theta dt A) x = b, one system per column of b;
         ``b`` is overwritten when it is Fortran-contiguous."""
         if dt == self._dt and self._lu is not None:
-            return banded_lu_solve(self._lu, b)
+            return dgttrs(*self._lu, b, overwrite_b=True)[0]
         a = -self.theta * dt * self.ab
         a[1] += 1.0
         if dt == self._dt:  # a repeat: its factors serve this and later solves
-            self._lu = banded_lu(a)
-            return banded_lu_solve(self._lu, b)
-        # a miss: dgtsv pivots and rounds as dgttrf + dgttrs do, and keeps nothing
-        self._dt, self._lu = dt, None
-        *_, x, info = dgtsv(a[2, :-1], a[1], a[0, 1:], b, overwrite_dl=1,
-                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        if info != 0:
-            raise LinAlgError("singular matrix")
-        return x
+            *lu, info = dgttrf(a[2, :-1], a[1], a[0, 1:])
+            if info == 0:
+                self._lu = tuple(lu)
+                return dgttrs(*lu, b, overwrite_b=True)[0]
+        else:  # a miss: dgtsv pivots and rounds as dgttrf + dgttrs do, and keeps nothing
+            self._dt, self._lu = dt, None
+            *_, x, info = dgtsv(a[2, :-1], a[1], a[0, 1:], b, overwrite_dl=1,
+                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
+            if info == 0:
+                return x
+        raise LinAlgError("singular matrix")
 
 
 def _step(stepper: ImexStepper, v: np.ndarray, dt: float,

@@ -13,7 +13,8 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # layers that nothing in the package calls any more: the step assembles the
-# reaction through Reaction and solves through banded_lu_solve, a trace
+# reaction through Reaction and solves through ImexStepper's own LAPACK calls
+# (dgtsv, or dgttrf and dgttrs for a repeated dt), not solve_banded, a trace
 # record takes the Kaplan y as a weighted row sum (kaplan_weights), whose
 # eigen-solve is principal_vector on the run's own A, not principal_eigenpair,
 # and the scan runs in one thread, so it asks for no worker count
@@ -61,8 +62,8 @@ def test_every_traced_layer_but_the_dead_pair_is_reached(tmp_path):
             "forcing": {"kind": "none"},
             "grid": {"L": 12.0, "M": 300},
             "solve": {"t_end": 50.0, "dt_init": 0.001, "dt_min": 1e-10,
-                      "dt_max": 0.05, "trace_stride": 2, "kaplan_R": 3.0},
-            "output": {"dir": str(tmp_path / "run")},
+                      "dt_max": 0.05, "kaplan_R": 3.0},
+            "output": {"dir": str(tmp_path / "run"), "stride": 2},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")

@@ -21,7 +21,7 @@ from fujitalab import cli
 from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
 from fujitalab.core import ProblemParams, classify_positive
-from fujitalab.certificates import gaussian_certificate
+from fujitalab.certificates import gaussian_certificate, kaplan_weights
 from fujitalab.grid import M_MAX, Field, ProfileSpec, RadialGrid
 from fujitalab.solver import (SolveConfig, SolveStatus, comparison_tolerance,
                               run_batch)
@@ -49,8 +49,8 @@ def blowup_config(out_dir):
         "forcing": {"kind": "none"},
         "grid": {"L": 12.0, "M": 300},
         "solve": {"t_end": 50.0, "dt_init": 0.001, "dt_min": 1e-10,
-                  "dt_max": 0.05, "trace_stride": 2},
-        "output": {"dir": str(out_dir)},
+                  "dt_max": 0.05},
+        "output": {"dir": str(out_dir), "stride": 2},
     }
 
 
@@ -108,8 +108,8 @@ def test_run_pure_heat_reports_reference_error(tmp_path):
         "forcing": {"kind": "none"},
         "grid": {"L": 12.0, "M": 600},
         "solve": {"t_end": 1.0, "dt_init": 1e-3, "dt_min": 1e-3, "dt_max": 1e-3,
-                  "theta_scheme": 0.5, "trace_stride": 200},
-        "output": {"dir": str(out_dir)},
+                  "theta_scheme": 0.5},
+        "output": {"dir": str(out_dir), "stride": 200},
     }
     cfg = write_config(tmp_path, doc)
     assert main(["run", str(cfg)]) == 0
@@ -127,9 +127,8 @@ def test_run_stationary_scenario(tmp_path):
         "profile": {"kind": "algebraic", "amplitude": 0.03, "k": [5, 12]},
         "forcing": {"kind": "constructed_stationary", "eps": 0.03},
         "grid": {"L": 12.0, "M": 1500},
-        "solve": {"t_end": 1.0, "dt_init": 1e-3, "dt_min": 1e-6, "dt_max": 0.02,
-                  "trace_stride": 10},
-        "output": {"dir": str(out_dir)},
+        "solve": {"t_end": 1.0, "dt_init": 1e-3, "dt_min": 1e-6, "dt_max": 0.02},
+        "output": {"dir": str(out_dir), "stride": 10},
     }
     cfg = write_config(tmp_path, doc)
     assert main(["run", str(cfg)]) == 0
@@ -573,27 +572,38 @@ def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
-def test_run_refuses_disagreeing_stride_keys(tmp_path, capsys):
+def test_the_trace_stride_is_output_stride_alone(tmp_path, capsys):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
-    doc["solve"]["trace_stride"] = 10
     doc["output"]["stride"] = 3
+    assert parse_scenario(doc)[2].trace_stride == 3
+    doc["solve"]["trace_stride"] = 3
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
-    assert "solve.trace_stride" in err and "output.stride" in err
+    assert "solve: unknown key(s) ['trace_stride']" in err
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("solve_stride, output_stride", [(3, 3), (3, None), (None, 3)],
-                         ids=["equal", "solve-only", "output-only"])
-def test_parse_scenario_accepts_agreeing_stride_keys(solve_stride, output_stride):
+@pytest.mark.parametrize("table, cls, elsewhere", [
+    ("_PROBLEM_KEYS", ProblemParams, set()),
+    ("_GRID_KEYS", RadialGrid, {"n"}),  # the problem's n
+    ("_SOLVE_KEYS", SolveConfig, {"store_fields", "trace_stride"}),  # output.stride
+], ids=["problem", "grid", "solve"])
+def test_each_section_table_names_the_fields_of_the_object_it_fills(table, cls, elsewhere):
+    fields = {f.name for f in dataclasses.fields(cls) if f.init}
+    assert set(getattr(cli, table)) == fields - elsewhere
+
+
+@pytest.mark.parametrize("kaplan_R", [1.5 * 12.0 / 301, 12.5], ids=["below-two-cells", "beyond-L"])
+def test_parse_scenario_refuses_a_kaplan_ball_as_kaplan_weights_does(kaplan_R):
     doc = blowup_config("out")
-    del doc["solve"]["trace_stride"]
-    if solve_stride is not None:
-        doc["solve"]["trace_stride"] = solve_stride
-    if output_stride is not None:
-        doc["output"]["stride"] = output_stride
-    assert parse_scenario(doc)[2].trace_stride == 3
+    doc["solve"]["kaplan_R"] = kaplan_R
+    with pytest.raises(ValueError) as parsed:
+        parse_scenario(doc)
+    with pytest.raises(ValueError) as weighed:
+        kaplan_weights(RadialGrid(1, 12.0, 300), kaplan_R)
+    assert str(parsed.value) == str(weighed.value)
+    assert str(parsed.value).startswith("kaplan_R: expected two grid cells")
 
 
 def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
@@ -732,7 +742,7 @@ def _set(doc, path, value):
     (("problem", "n"), 1.7),
     (("problem", "n"), "1"),
     (("grid", "M"), 300.5),
-    (("solve", "trace_stride"), 2.5),
+    (("output", "stride"), 2.5),
     (("output", "stride"), "2"),
     (("problem",), 5),
     (("problem", "p"), KeyError),
@@ -750,7 +760,7 @@ def _set(doc, path, value):
     (("profile", "kind"), "triangle"),
     (("forcing", "kind"), "triangle"),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
-        "M-float", "trace_stride-float", "output-stride-string", "problem-number",
+        "M-float", "output-stride-float", "output-stride-string", "problem-number",
         "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
         "sum-overflow", "dipole-one-center", "dipole-three-widths", "L-tiny", "L-huge",
         "profile-kind-unknown", "forcing-kind-unknown"])
@@ -805,8 +815,7 @@ _profiles = _maybe(st.one_of(
 _solve_keys = {
     "dt_init": _real(1e-4, 1e-2), "dt_max": _real(1e-3, 0.1),
     "blowup_threshold": _real(2.0, 1e10), "growth_cap": _real(0.01, 1.0),
-    "theta_scheme": _real(0.0, 1.0), "trace_stride": _maybe(st.integers(1, 20)),
-    "kaplan_R": _real(0.01, 25.0)}
+    "theta_scheme": _real(0.0, 1.0), "kaplan_R": _real(0.01, 25.0)}
 
 
 def _scenario(grid_m, solve):
@@ -825,6 +834,7 @@ def _scenario(grid_m, solve):
                                    "amplitude": _real(0.0, 10.0)}),
             st.fixed_dictionaries({"kind": st.just("constructed_stationary")},
                                   optional={"eps": _real(1e-4, 0.1)}))),
+        "output": st.fixed_dictionaries({}, optional={"stride": _maybe(st.integers(1, 20))}),
     })
 
 
@@ -856,7 +866,7 @@ def test_run_fuzz_exits_0_or_2(doc):
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        doc["output"] = {"dir": str(Path(tmp) / "out")}
+        doc.setdefault("output", {})["dir"] = str(Path(tmp) / "out")
         assert main(["run", str(write_config(Path(tmp), doc))]) in (0, 2)
 
 

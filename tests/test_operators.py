@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import brentq
 from scipy.special import jv
 
 from fujitalab import operators
 from fujitalab.core import ProblemParams
 from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
-from fujitalab.operators import (banded_lu, banded_lu_solve,
-                                 gradient_magnitude, laplacian, laplacian_banded,
+from fujitalab.operators import (gradient_magnitude, laplacian, laplacian_banded,
                                  principal_eigenpair, rhs)
 
 
@@ -277,19 +275,3 @@ def test_eigenpair_residual_guard_refuses_a_wrong_eigenvalue(monkeypatch):
                         lambda *args, **kwargs: 1.5 * real(*args, **kwargs))
     with pytest.raises(RuntimeError, match="missed the eigenvector"):
         principal_eigenpair(1, 1.0, 200)
-
-
-def test_banded_lu_solve_bitwise_equals_solve_banded_with_pivoting():
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((3, 200))
-    ab[1, ::3] *= 1e-3  # small pivots force row interchanges
-    b = rng.standard_normal(200)
-    expected = solve_banded((1, 1), ab, b)
-    assert np.array_equal(banded_lu_solve(banded_lu(ab), b.copy()), expected)
-
-
-def test_banded_lu_singular_raises():
-    ab = np.zeros((3, 5))
-    ab[1] = [1.0, 1.0, 0.0, 1.0, 1.0]
-    with pytest.raises(LinAlgError, match="singular matrix"):
-        banded_lu(ab)

@@ -1,12 +1,15 @@
 """README's library layout and the package's export list name only what the
-package has, and every exported name has a reader."""
+package has, every exported name has a reader, and README's scenario
+example parses."""
 import ast
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import fujitalab
+from fujitalab.cli import parse_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 IDENTIFIER = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`")
@@ -87,3 +90,10 @@ def test_every_exported_name_has_a_reader():
         read |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
     unread = {name for name in fujitalab.__all__ if name not in read}
     assert unread == UNREAD_EXPORTS
+
+
+def test_the_run_section_example_is_a_valid_scenario():
+    run_section = README.read_text(encoding="utf-8").split("### run", 1)[1]
+    example = run_section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = parse_scenario(json.loads(example))[2]
+    assert config.trace_stride == 5

@@ -126,13 +126,13 @@ def test_step_rows_equal_a_reference_from_public_pieces(n, M, theta):
 def factored(monkeypatch):
     """Diagonal heads of every matrix the solver factors during a test."""
     seen = []
-    real = solver.banded_lu
+    real = solver.dgttrf
 
-    def counting_lu(ab):
-        seen.append(ab[1, 0])
-        return real(ab)
+    def counting_dgttrf(dl, d, du, *args, **kwargs):
+        seen.append(d[0])
+        return real(dl, d, du, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "banded_lu", counting_lu)
+    monkeypatch.setattr(solver, "dgttrf", counting_dgttrf)
     return seen
 
 
@@ -150,6 +150,21 @@ def test_stepper_reuses_factors_of_a_repeated_dt(factored):
     stepper.solve(2e-3, b.copy())
     assert np.array_equal(stepper.solve(1e-3, b.copy()), first)
     assert len(factored) == 1
+
+
+def test_stepper_solves_bitwise_as_solve_banded_with_pivoting():
+    rng = np.random.default_rng(3)
+    stepper = ImexStepper(RadialGrid(1, 1.0, 198), 1.0)
+    stepper.ab = rng.standard_normal((3, 200))
+    stepper.ab[1, ::3] = 1.0 - 1e-3 * stepper.ab[1, ::3]  # small pivots of I - A
+    band = -stepper.ab
+    band[1] += 1.0  # I - theta dt A at theta = dt = 1, rounded as the stepper does
+    b = rng.standard_normal(200)
+    expected = solve_banded((1, 1), band, b)
+    # the dgtsv miss, the repeat that factors, then a hit on the kept factors
+    for _ in range(3):
+        assert np.array_equal(stepper.solve(1.0, b.copy()), expected)
+    assert np.any(stepper._lu[-1] != np.arange(1, 201))  # rows were interchanged
 
 
 def test_stepper_refuses_a_singular_system():
