@@ -63,12 +63,6 @@ def _number(value, where: str) -> Real:
     return value
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
 _REQUIRED = object()
 _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
                dict: "an object", list: "a list"}
@@ -76,8 +70,8 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
 
 def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
     """``obj[key]`` checked to be a ``kind``: bool, int, str, dict, list, Real
-    (a number or [num, den] pair, see ``_number``), float (a Real, rounded)
-    or object (anything); ``default`` if absent."""
+    (a number or [num, den] pair, see ``_number``), float (a Real, rounded),
+    "pair" (a list of two floats) or object (anything); ``default`` if absent."""
     if key not in obj:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing required key '{key}'")
@@ -86,6 +80,11 @@ def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
     if kind is Real or kind is float:
         value = _number(value, f"{where}.{key}")
         return float(value) if kind is float else value
+    if kind == "pair":
+        values = _field(obj, key, list, where)
+        if len(values) != 2:
+            raise ConfigError(f"{where}.{key}: expected two numbers, got {values!r}")
+        return [float(_number(x, f"{where}.{key}")) for x in values]
     # bool is a subclass of int, but true is not an integer here
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{where}.{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
@@ -96,14 +95,16 @@ def _section(obj: dict, table: dict, where: str, required=()) -> dict:
     """The keys of ``obj`` that ``table`` (key -> kind, see ``_field``) names,
     read in the table's order; any other key is refused, and each
     ``required`` key must be there."""
-    _check_keys(obj, set(table), where)
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
     return {key: _field(obj, key, kind, where) for key, kind in table.items()
             if key in obj or key in required}
 
 
 # Each section's keys and kinds, in the order they are checked.  An absent
-# key takes the default of the object it fills; the forcing is checked by
-# ``_parse_forcing``, and the output stride is ``SolveConfig.trace_stride``.
+# key takes the default of the object it fills; the forcing is read through
+# ``_FORCING_KINDS``, and the output stride is ``SolveConfig.trace_stride``.
 _CONFIG_KEYS = {"problem": dict, "profile": dict, "forcing": object, "grid": dict,
                 "solve": dict, "output": dict}
 _PROBLEM_KEYS = {"n": int, "p": Real, "q": Real, "b": Real, "use_source": bool,
@@ -113,64 +114,61 @@ _SOLVE_KEYS = {"t_end": float, "dt_init": float, "dt_min": float, "dt_max": floa
                "blowup_threshold": float, "growth_cap": float, "theta_scheme": float,
                "kaplan_R": float}
 _OUTPUT_KEYS = {"dir": str, "stride": int}
-# the keys of each primitive profile kind besides "kind", all required reals
-_PRIMITIVE_KEYS = {"gaussian": ("amplitude",), "algebraic": ("amplitude", "k"),
-                   "annular_bump": ("amplitude", "center", "width"), "zero": ()}
+# each kind's keys besides "kind", all required but a constructed forcing's eps:
+# a primitive's are fields of ``Primitive``, the others' the arguments of what they build
+_PROFILE_KINDS = {"gaussian": {"amplitude": float},
+                  "algebraic": {"amplitude": float, "k": float},
+                  "annular_bump": {"amplitude": float, "center": float, "width": float},
+                  "zero": {},
+                  "signed_dipole": {"a_plus": float, "a_minus": float,
+                                    "centers": "pair", "widths": "pair"},
+                  "sum": {"parts": list}}
+_FORCING_KINDS = {"none": {}, "gaussian": {"amplitude": float},
+                  "constructed_stationary": {"eps": float}}
 
 
-def _parse_profile(obj: dict, where: str = "profile") -> ProfileSpec:
+def _kind_section(obj, kinds: dict, where: str, optional=()) -> dict:
+    """``obj`` read through the table of its kind in ``kinds`` (see
+    ``_section``), "kind" included; every key but ``optional`` is required."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = obj["kind"]
-    if isinstance(kind, str) and kind in _PRIMITIVE_KEYS:
-        table = {"kind": str, **dict.fromkeys(_PRIMITIVE_KEYS[kind], float)}
-        return ProfileSpec((Primitive(**_section(obj, table, where, required=table)),))
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    table = {"kind": str, **kinds[kind]}
+    return _section(obj, table, where, required=set(table) - set(optional))
 
-    def pair(key: str) -> list:
-        values = _field(obj, key, list, where)
-        if len(values) != 2:
-            raise ConfigError(f"{where}.{key}: expected two numbers, got {values!r}")
-        return [float(_number(x, f"{where}.{key}")) for x in values]
 
+def _parse_profile(obj, where: str = "profile") -> ProfileSpec:
+    fields = _kind_section(obj, _PROFILE_KINDS, where)
+    kind = fields.pop("kind")
     if kind == "signed_dipole":
-        _check_keys(obj, {"kind", "a_plus", "a_minus", "centers", "widths"}, where)
-        return ProfileSpec.signed_dipole(_field(obj, "a_plus", float, where),
-                                         _field(obj, "a_minus", float, where),
-                                         pair("centers"), pair("widths"))
+        return ProfileSpec.signed_dipole(**fields)
     if kind == "sum":
-        _check_keys(obj, {"kind", "parts"}, where)
         parts = [_parse_profile(part, f"{where}.parts[{i}]")
-                 for i, part in enumerate(_field(obj, "parts", list, where))]
+                 for i, part in enumerate(fields["parts"])]
         if not parts:
             raise ConfigError(f"{where}.parts: expected at least one part")
         spec = parts[0]
         for extra in parts[1:]:
             spec = spec + extra
         return spec
-    raise ConfigError(f"{where}: unknown profile kind {kind!r}")
+    return ProfileSpec((Primitive(kind, **fields),))
 
 
-def _parse_forcing(obj: dict, params: ProblemParams, grid: RadialGrid) -> Optional[Field]:
+def _parse_forcing(obj, params: ProblemParams, grid: RadialGrid) -> Optional[Field]:
     """The forcing field h on ``grid``: None, a gaussian, or the constructed
     forcing that makes the algebraic supersolution an exact steady state."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("forcing: expected an object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "none":
-        _check_keys(obj, {"kind"}, "forcing")
-        return None
+    fields = _kind_section(obj, _FORCING_KINDS, "forcing", optional=("eps",))
+    kind = fields.pop("kind")
     if kind == "gaussian":
-        _check_keys(obj, {"kind", "amplitude"}, "forcing")
-        amplitude = _field(obj, "amplitude", float, "forcing")
-        if amplitude < 0:
+        if fields["amplitude"] < 0:
             raise ConfigError("gaussian forcing needs amplitude >= 0")
-        return sample_profile(ProfileSpec.gaussian(amplitude), grid)
+        return sample_profile(ProfileSpec.gaussian(**fields), grid)
     if kind == "constructed_stationary":
-        _check_keys(obj, {"kind", "eps"}, "forcing")
-        eps = _field(obj, "eps", float, "forcing", None)
         return stationary_certificate(params.n, float(params.p), float(params.q),
-                                      float(params.b), grid=grid, eps=eps).h
-    raise ConfigError(f"forcing: unknown kind {kind!r}")
+                                      float(params.b), grid=grid, **fields).h
+    return None
 
 
 def parse_scenario(doc: dict):
@@ -300,14 +298,12 @@ def _scan_row(p: float, q: float, theory: RegimeVerdict) -> dict:
     }
 
 
-def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
-                budget: float, theory: RegimeVerdict) -> dict:
+def _scan_point(u0: Field, p: float, q: float, b: float, budget: float,
+                theory: RegimeVerdict) -> dict:
     """The scan row of one BlowUpAll point (``theory`` is its classification),
-    confirmed by its own ``run``."""
-    params = ProblemParams(n=n, p=p, q=q, b=b)
+    confirmed by its own ``run`` from the blow-up datum ``u0``."""
+    params = ProblemParams(n=u0.grid.n, p=p, q=q, b=b)
     row = _scan_row(p, q, theory)
-    u0 = sample_profile(ProfileSpec.gaussian(1.0), RadialGrid(n, 12.0, grid_m))
-    u0.values[-1] = 0.0
     config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
                          trace_stride=5)
     outcome = run(params, u0, None, config)
@@ -319,8 +315,7 @@ def _scan_point(n: int, p: float, q: float, b: float, grid_m: int,
     return row
 
 
-def _scan_global_points(n: int, points, b: float, grid_m: int,
-                        budget: float) -> list:
+def _scan_global_points(grid: RadialGrid, points, b: float, budget: float) -> list:
     """The scan rows of certified-global points, confirmed together by one
     ``run_batch`` from the data 0.9 z(0) that each point's gaussian
     certificate z dominates (a point whose step is rejected splits off from
@@ -329,14 +324,13 @@ def _scan_global_points(n: int, points, b: float, grid_m: int,
     batch runs, until it first exceeds it; no field is stored.  Each point
     is a triple (p, q, classification).  A point whose certificate is
     refused stays unresolved and is not run."""
-    grid = RadialGrid(n, 12.0, grid_m)
     config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
                          dt_max=5e-3, trace_stride=20)
     tol = comparison_tolerance(grid, config)
     rows, certified, certs = [], [], []
     for p, q, theory in points:
         try:
-            certs.append(gaussian_certificate(n, p, q, b))
+            certs.append(gaussian_certificate(grid.n, p, q, b))
             certified.append((p, q, theory))
         except ValueError:
             rows.append(_scan_row(p, q, theory))
@@ -351,7 +345,7 @@ def _scan_global_points(n: int, points, b: float, grid_m: int,
             z = gaussian_supersolution(certs[k], t, grid)
             dominated[k] = not np.any(row > z.values + tol)
 
-    params = [ProblemParams(n=n, p=p, q=q, b=b) for p, q, _ in certified]
+    params = [ProblemParams(n=grid.n, p=p, q=q, b=b) for p, q, _ in certified]
     outcomes = run_batch(params, u0s, config, watch=check)
     return rows + [_global_verdict(_scan_row(*point), cert, outcome.status, flag)
                    for point, cert, outcome, flag
@@ -386,11 +380,6 @@ def scan_csv(rows) -> str:
 
 
 def cmd_scan(args) -> int:
-    try:
-        RadialGrid(args.n, 12.0, 2)
-    except ValueError as exc:
-        print(f"error: --n: {exc}", file=sys.stderr)
-        return 2
     for bad, message in ((args.steps < 0, "--steps must be >= 0"),
                          (not (math.isfinite(args.b) and args.b > 0),
                           "--b must be finite and > 0"),
@@ -398,19 +387,23 @@ def cmd_scan(args) -> int:
                           "--p-range must be finite"),
                          (not all(map(math.isfinite, args.q_range)),
                           "--q-range must be finite"),
-                         (args.grid_m < 2, "--grid-m must be >= 2"),
-                         (args.grid_m > M_MAX, f"--grid-m must be <= {M_MAX}"),
                          (args.steps ** 2 > SCAN_POINTS_MAX,
                           f"--steps must keep steps^2 <= {SCAN_POINTS_MAX} points"),
-                         # the certified-global points run as one batch, a column each
-                         (args.steps ** 2 * (args.grid_m + 2) > M_MAX + 2,
-                          f"--steps: the batch holds steps^2 * (grid_m + 2) nodes, "
-                          f"at most {M_MAX + 2} (one grid of M = {M_MAX})"),
                          (not (math.isfinite(args.budget) and args.budget > 0),
                           "--budget must be finite and > 0")):
         if bad:
             print(f"error: {message}", file=sys.stderr)
             return 2
+    try:
+        grid = RadialGrid(args.n, 12.0, args.grid_m)
+    except ValueError as exc:
+        print(f"error: --n/--grid-m: {exc}", file=sys.stderr)
+        return 2
+    # the certified-global points run as one batch, a column each
+    if args.steps ** 2 * (grid.M + 2) > M_MAX + 2:
+        print(f"error: --steps: the batch holds steps^2 * (grid_m + 2) nodes, "
+              f"at most {M_MAX + 2} (one grid of M = {M_MAX})", file=sys.stderr)
+        return 2
     ps = [float(v) for v in np.linspace(*args.p_range, args.steps)]
     qs = [float(v) for v in np.linspace(*args.q_range, args.steps)]
     global_points, blowup_points = [], []
@@ -426,8 +419,11 @@ def cmd_scan(args) -> int:
              else global_points).append((p, q, theory))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = _scan_global_points(args.n, global_points, args.b, args.grid_m, args.budget)
-    results += [_scan_point(args.n, p, q, args.b, args.grid_m, args.budget, theory)
+    results = _scan_global_points(grid, global_points, args.b, args.budget)
+    u0 = sample_profile(ProfileSpec.gaussian(1.0), grid)
+    u0.values[-1] = 0.0
+    # p and q stay arguments 1 and 2: bench/tracer.py names each point by them
+    results += [_scan_point(u0, p, q, args.b, args.budget, theory)
                 for p, q, theory in blowup_points]
     results.sort(key=lambda row: (row["p"], row["q"]))
     (out / "scan.csv").write_text(scan_csv(results), encoding="utf-8")

@@ -162,10 +162,6 @@ class ProfileSpec:
         return ProfileSpec((Primitive("gaussian", amplitude=amplitude),))
 
     @staticmethod
-    def algebraic(amplitude: float, k: float) -> "ProfileSpec":
-        return ProfileSpec((Primitive("algebraic", amplitude=amplitude, k=k),))
-
-    @staticmethod
     def annular_bump(amplitude: float, center: float, width: float) -> "ProfileSpec":
         return ProfileSpec((Primitive("annular_bump", amplitude=amplitude,
                                       center=center, width=width),))
@@ -180,10 +176,6 @@ class ProfileSpec:
             Primitive("annular_bump", amplitude=a_plus, center=cp, width=wp),
             Primitive("annular_bump", amplitude=-a_minus, center=cm, width=wm),
         ))
-
-    @staticmethod
-    def zero() -> "ProfileSpec":
-        return ProfileSpec((Primitive("zero"),))
 
     def __add__(self, other: "ProfileSpec") -> "ProfileSpec":
         return ProfileSpec(self.parts + other.parts)

@@ -32,7 +32,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -194,9 +194,9 @@ def _finish(status: Optional[SolveStatus], params: ProblemParams,
             u: Field) -> SolveOutcome:
     """Close a run at the time t of its last trace record: the blow-up time
     fit when the status is BlowUp, the stall time when it is
-    StepFloorStall.  Status None (dt below the step floor under the
-    threshold) is BlowUp if sup^(1-p) contracted by 3 decades over the
-    growing tail and a blow-up time fit exists, else StepFloorStall."""
+    StepFloorStall.  Status None (dt below the step floor) is BlowUp if
+    sup^(1-p) contracted by 3 decades over the growing tail and a blow-up
+    time fit exists, else StepFloorStall."""
     t, p = trace[-1].t, float(params.p)
     est = None if status is SolveStatus.REACHED_HORIZON else detect_blowup(trace, p)
     if status is None:
@@ -222,14 +222,13 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
 
 @dataclass
 class _Block:
-    """Batch columns whose lone runs are in one state: the same t, dt,
-    halving count and accepted-step count, so they step as one block."""
+    """Batch columns whose lone runs are in one state: the same t, dt and
+    accepted-step count, so they step as one block."""
     cols: Tuple[int, ...]
     v: np.ndarray
     sup: List[float]  # per-row sup |u| as Python floats, cheap to decide on
     t: float
     dt: float
-    halvings: int = 0
     accepted: int = 0
 
     def take(self, rows: List[int]) -> _Block:
@@ -253,8 +252,10 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     solve.  A sup at ``blowup_threshold`` after an accepted step ends a
     column in BlowUp; the columns whose step is rejected (non-finite, or
     growth above ``growth_cap``) split off as a block that resumes from the
-    pre-step state with dt halved.  Rows are computed independently, so each
-    column has one history, bit for bit its lone ``run``'s.
+    pre-step state with dt halved, and that ends whole, by ``_finish``'s
+    step-floor rule, once its dt falls below ``dt_min``.  Rows are computed
+    independently, so each column has one history, bit for bit its lone
+    ``run``'s.
     """
     if len(params_list) != len(u0s):
         raise ValueError("run_batch needs one initial field per problem")
@@ -290,16 +291,17 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
             if watch is not None:
                 watch(k, b.t, row)
 
-    def leave(b: _Block, ends: Dict[int, Optional[SolveStatus]]) -> _Block:
-        """End the rows in ``ends`` (None: at the step floor); return the rest."""
-        if not ends:
+    def leave(b: _Block, rows: List[int], status: Optional[SolveStatus]) -> _Block:
+        """End these rows of b with ``status`` (None: at the step floor); return the rest."""
+        if not rows:
             return b
-        ended = b.take(list(ends))
+        ended = b.take(rows)
         if b.accepted % config.trace_stride:  # the last record is older than b.t
             observe(ended, b.dt)
-        for k, status, row in zip(ended.cols, ends.values(), ended.v):
+        for k, row in zip(ended.cols, ended.v):
             outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k], Field(grid, row))
-        return b.take([row for row in range(len(b.cols)) if row not in ends])
+        gone = set(rows)
+        return b.take([row for row in range(len(b.cols)) if row not in gone])
 
     blocks = [_Block(tuple(range(len(u0s))), v, np.max(np.abs(v), axis=1).tolist(),
                      0.0, config.dt_init)]
@@ -315,18 +317,14 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
                   for s, s0 in zip(sup, b.sup)]
             if not all(ok):
                 # the rejected rows halve dt from the pre-step state, split off
-                # unless every row is rejected; a row stops below the step
-                # floor, or at the threshold after three halvings
+                # unless every row is rejected; they share dt, so they stop
+                # together below the step floor
                 good = [row for row, accept in enumerate(ok) if accept]
                 bad = [row for row, accept in enumerate(ok) if not accept]
                 rejected = b.take(bad) if good else b
                 rejected.dt /= 2.0
-                rejected.halvings += 1
-                rejected = leave(rejected, {
-                    row: SolveStatus.BLOW_UP if s0 >= threshold else None
-                    for row, s0 in enumerate(rejected.sup)
-                    if rejected.dt < config.dt_min
-                    or (s0 >= threshold and rejected.halvings >= 3)})
+                if rejected.dt < config.dt_min:
+                    rejected = leave(rejected, list(range(len(rejected.cols))), None)
                 if not good:
                     b = rejected
                     continue
@@ -334,14 +332,14 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
                 b, candidate, sup = b.take(good), candidate[good], [sup[r] for r in good]
             b.v, b.sup = candidate, sup
             b.t += dt_try
-            b.halvings = 0
             b.accepted += 1
             if b.accepted % config.trace_stride == 0:
                 observe(b, dt_try)
             if max(sup) >= threshold:
-                b = leave(b, {row: SolveStatus.BLOW_UP for row, s in enumerate(sup) if s >= threshold})
+                b = leave(b, [row for row, s in enumerate(sup) if s >= threshold],
+                          SolveStatus.BLOW_UP)
             b.dt = min(b.dt * 1.2, config.dt_max)
-        leave(b, dict.fromkeys(range(len(b.cols)), SolveStatus.REACHED_HORIZON))
+        leave(b, list(range(len(b.cols))), SolveStatus.REACHED_HORIZON)
     return outcomes
 
 

@@ -80,3 +80,7 @@ def test_every_traced_layer_but_the_dead_pair_is_reached(tmp_path):
         tracer.uninstall()
     reached = {span.name for span in tracer.spans}
     assert set(tracer_module.TARGETS) - reached == UNREACHED
+    # the tracer names a scan point by its positional arguments 1 and 2, p and q;
+    # the q = 1.4 points of this lattice are the blow-up points
+    assert {span.item for span in tracer.spans if span.name == "cli.scan.point"} == {
+        "p=4.0,q=1.4", "p=6.0,q=1.4"}

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -21,8 +22,10 @@ from fujitalab import cli
 from fujitalab.cli import (ConfigError, main, parse_scenario, scan_csv, _number,
                            _scan_global_points, _scan_point)
 from fujitalab.core import ProblemParams, classify_positive
-from fujitalab.certificates import gaussian_certificate, kaplan_weights
-from fujitalab.grid import M_MAX, Field, ProfileSpec, RadialGrid
+from fujitalab.certificates import (gaussian_certificate, kaplan_weights,
+                                    stationary_certificate)
+from fujitalab.grid import (M_MAX, _KINDS, Field, Primitive, ProfileSpec, RadialGrid,
+                            sample_profile)
 from fujitalab.solver import (SolveConfig, SolveStatus, comparison_tolerance,
                               run_batch)
 
@@ -261,16 +264,23 @@ def test_scan_empty_range(tmp_path):
     assert len(lines) == 1  # header only
 
 
+def blowup_datum(grid_m):
+    """The datum a scan of n = 1 runs each of its blow-up points from."""
+    u0 = sample_profile(ProfileSpec.gaussian(1.0), RadialGrid(1, 12.0, grid_m))
+    u0.values[-1] = 0.0
+    return u0
+
+
 def test_scan_point_global_certified():
-    (row,) = _scan_global_points(1, [(4.0, 2.0, theory(4.0, 2.0))], 1.0,
-                                 grid_m=200, budget=2.0)
+    (row,) = _scan_global_points(RadialGrid(1, 12.0, 200), [(4.0, 2.0, theory(4.0, 2.0))],
+                                 1.0, budget=2.0)
     assert row["verdict_theory"] == "GlobalForSmallData"
     assert row["verdict_numeric"] == "DominatedToHorizon"
     assert row["certificate_eps"] > 0
 
 
 def test_scan_point_blowup_confirmed():
-    row = _scan_point(1, 2.0, 2.0, 1.0, grid_m=200, budget=50.0,
+    row = _scan_point(blowup_datum(200), 2.0, 2.0, 1.0, budget=50.0,
                       theory=theory(2.0, 2.0))
     assert row["verdict_theory"] == "BlowUpAll"
     assert row["verdict_numeric"] == "BlowUp"
@@ -281,7 +291,7 @@ def test_scan_soundness_failure_is_loud(tmp_path, monkeypatch):
     # a certified-global point reporting blow-up must fail the whole scan
     import fujitalab.cli as cli_mod
 
-    def contradictory(n, points, b, grid_m, budget):
+    def contradictory(grid, points, b, budget):
         return [{"p": p, "q": q, "verdict_theory": "GlobalForSmallData",
                  "triggered_condition": "x", "t_star": None,
                  "certificate_eps": 0.01,
@@ -334,11 +344,11 @@ def test_scan_leaves_a_certified_point_it_cannot_dominate_unresolved(tmp_path,
     assert all(row["verdict_numeric"] == "unresolved" for row in certified)
 
 
-def posthoc_global_rows(n, points, b, grid_m, budget):
+def posthoc_global_rows(grid, points, b, budget):
     """Reference for ``_scan_global_points``: run the certified points with
     every snapshot stored, then check each snapshot against z(t) plus the
     comparison tolerance after the run, stopping at a column's first miss."""
-    grid = RadialGrid(n, 12.0, grid_m)
+    n = grid.n
     config = SolveConfig(t_end=min(5.0, budget), dt_init=1e-3, dt_min=1e-9,
                          dt_max=5e-3, trace_stride=20, store_fields=True)
     tol = comparison_tolerance(grid, config)
@@ -388,9 +398,10 @@ def test_scan_checks_domination_as_the_post_hoc_snapshot_loop_did(monkeypatch):
     # the 2x2 lattice, whose q = 1.4 certificates are refused, and (5, 1.8)
     points = [(p, q, theory(p, q)) for p, q in
               [(4.0, 1.4), (4.0, 1.8), (6.0, 1.4), (6.0, 1.8), (5.0, 1.8)]]
-    streamed = _scan_global_points(1, points, 1.0, 60, 0.5)
+    grid = RadialGrid(1, 12.0, 60)
+    streamed = _scan_global_points(grid, points, 1.0, 0.5)
     streamed_calls, calls[:] = sorted(calls), []
-    assert streamed == posthoc_global_rows(1, points, 1.0, 60, 0.5)
+    assert streamed == posthoc_global_rows(grid, points, 1.0, 0.5)
     assert streamed_calls == sorted(calls)  # the same domination checks
     assert [(row["p"], row["q"], row["verdict_numeric"]) for row in streamed] == [
         (4.0, 1.4, "unresolved"), (6.0, 1.4, "unresolved"),
@@ -402,10 +413,11 @@ def test_scan_checks_domination_as_the_post_hoc_snapshot_loop_did(monkeypatch):
 def test_scan_global_points_keep_no_snapshots():
     # what stays traced is one certificate's lattice, built one after another
     points = [(p, q, theory(p, q)) for p in (4.0, 5.0, 6.0, 7.0) for q in (1.55, 1.6)]
-    _scan_global_points(1, points[:1], 1.0, 300, 5.0)  # warm-up
+    grid = RadialGrid(1, 12.0, 300)
+    _scan_global_points(grid, points[:1], 1.0, 5.0)  # warm-up
     tracemalloc.start()
     try:
-        rows = _scan_global_points(1, points, 1.0, 300, 5.0)
+        rows = _scan_global_points(grid, points, 1.0, 5.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,8 +442,9 @@ def test_scan_rows_equal_per_point_rows(tmp_path):
     assert main(SCAN_2X2 + ["--out", str(out)]) == 0
     rows = json.loads((out / "scan.json").read_text())["points"]
     # q = 1.8 lies above q_F = 3/2 (n = 1): those points are certified global
-    expected = [_scan_global_points(1, [(p, q, theory(p, q))], 1.0, 200, 1.0)[0]
-                if q > 1.5 else _scan_point(1, p, q, 1.0, 200, 1.0, theory(p, q))
+    grid, u0 = RadialGrid(1, 12.0, 200), blowup_datum(200)
+    expected = [_scan_global_points(grid, [(p, q, theory(p, q))], 1.0, 1.0)[0]
+                if q > 1.5 else _scan_point(u0, p, q, 1.0, 1.0, theory(p, q))
                 for p in (4.0, 6.0) for q in (1.4, 1.8)]
     assert rows == json.loads(json.dumps(expected))
     assert sum(row["verdict_numeric"] == "DominatedToHorizon" for row in rows) == 2
@@ -465,10 +478,10 @@ def test_scan_starts_no_thread(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag, value", [
     ("--budget", "0"), ("--budget", "-5"), ("--budget", "nan"),
-    ("--grid-m", "1"), ("--n", "0"), ("--b", "0"),
+    ("--n", "0"), ("--b", "0"),
     ("--n", "1000"), ("--b", "inf"), ("--p-range", "inf inf"), ("--q-range", "inf inf"),
     ("--p-range", "4 nan"),
-], ids=["budget-zero", "budget-negative", "budget-nan", "grid-m-1", "n-0", "b-0",
+], ids=["budget-zero", "budget-negative", "budget-nan", "n-0", "b-0",
         "n-sphere-area-overflows", "b-inf", "p-range-inf", "q-range-inf", "p-range-nan"])
 def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     out = tmp_path / "scan"
@@ -476,6 +489,23 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     assert main(SCAN_2X2 + [flag, *value.split(), "--out", str(out)]) == 2
     assert f"error: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_m", [1, 2, 60, M_MAX + 1])
+@pytest.mark.parametrize("n", [0, 1, 3, 285, 286])
+def test_scan_refuses_exactly_the_grids_radial_grid_refuses(tmp_path, capsys, n, grid_m):
+    try:
+        RadialGrid(n, 12.0, grid_m)
+        refusal = None
+    except ValueError as exc:
+        refusal = f"error: --n/--grid-m: {exc}"
+    out = tmp_path / "scan"
+    # an empty lattice: no point is classified or run, so only the grid is at stake
+    code = main(["scan", "--n", str(n), "--p-range", "2", "3", "--q-range", "1.2", "1.4",
+                 "--steps", "0", "--grid-m", str(grid_m), "--out", str(out)])
+    assert (code, out.exists()) == ((0, True) if refusal is None else (2, False))
+    if refusal is not None:
+        assert capsys.readouterr().err.strip() == refusal
 
 
 def _memory_capped(argv):
@@ -492,7 +522,9 @@ def _memory_capped(argv):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--grid-m", str(M_MAX + 1)], f"error: --grid-m must be <= {M_MAX}"),
+    (["--grid-m", str(M_MAX + 1)],
+     f"error: --n/--grid-m: M={M_MAX + 1} interior nodes exceed the cap M <= {M_MAX} "
+     f"(about 1 GB per run)"),
     (["--steps", "1001"], "error: --steps must keep steps^2 <= 1000000 points"),
     (["--steps", "100", "--grid-m", "999"],
      f"error: --steps: the batch holds steps^2 * (grid_m + 2) nodes, "
@@ -592,6 +624,27 @@ def test_the_trace_stride_is_output_stride_alone(tmp_path, capsys):
 def test_each_section_table_names_the_fields_of_the_object_it_fills(table, cls, elsewhere):
     fields = {f.name for f in dataclasses.fields(cls) if f.init}
     assert set(getattr(cli, table)) == fields - elsewhere
+
+
+def test_each_primitive_kind_table_names_fields_of_primitive():
+    tables = {kind: set(cli._PROFILE_KINDS[kind]) for kind in _KINDS}
+    fields = {f.name for f in dataclasses.fields(Primitive)} - {"kind"}
+    assert all(table <= fields for table in tables.values())
+    assert set().union(*tables.values()) == fields
+    assert set(cli._PROFILE_KINDS) - set(tables) == {"signed_dipole", "sum"}
+
+
+@pytest.mark.parametrize("kinds, kind, builder, elsewhere", [
+    ("_PROFILE_KINDS", "signed_dipole", ProfileSpec.signed_dipole, set()),
+    ("_FORCING_KINDS", "gaussian", ProfileSpec.gaussian, set()),
+    # the problem's n, p, q and b, and the scenario's grid
+    ("_FORCING_KINDS", "constructed_stationary", stationary_certificate,
+     {"n", "p", "q", "b", "grid"}),
+], ids=["signed_dipole", "forcing-gaussian", "constructed_stationary"])
+def test_each_kind_table_names_the_parameters_of_what_it_builds(kinds, kind, builder,
+                                                                 elsewhere):
+    parameters = set(inspect.signature(builder).parameters)
+    assert set(getattr(cli, kinds)[kind]) == parameters - elsewhere
 
 
 @pytest.mark.parametrize("kaplan_R", [1.5 * 12.0 / 301, 12.5], ids=["below-two-cells", "beyond-L"])
@@ -717,7 +770,7 @@ def test_parse_scenario_pins_the_boundary_unless_the_forcing_is_constructed(forc
     }
     _, grid, _, profile, u0, h, _ = parse_scenario(doc)
     if forcing["kind"] == "constructed_stationary":
-        assert u0.values[-1] == ProfileSpec.algebraic(0.03, 5 / 12).evaluate(
+        assert u0.values[-1] == Primitive("algebraic", amplitude=0.03, k=5 / 12).evaluate(
             np.array([grid.L]))[0] > 0.0
         assert np.all(h.values > 0.0)
     else:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fujitalab.grid import (Field, ProfileSpec, RadialGrid, _integrate_rows,
+from fujitalab.grid import (Field, Primitive, ProfileSpec, RadialGrid, _integrate_rows,
                             dipole_with_mean, field_to_csv, integrate, mean,
                             sample_profile, sphere_area)
 
@@ -96,7 +96,8 @@ def test_quadrature_order_two():
 def test_sample_profile_center_values():
     g = RadialGrid(1, 12.0, 200)
     assert sample_profile(ProfileSpec.gaussian(0.2), g).values[0] == pytest.approx(0.2)
-    assert sample_profile(ProfileSpec.algebraic(0.03, 5 / 12), g).values[0] == pytest.approx(0.03)
+    algebraic = ProfileSpec((Primitive("algebraic", amplitude=0.03, k=5 / 12),))
+    assert sample_profile(algebraic, g).values[0] == pytest.approx(0.03)
 
 
 def test_annular_bump_mass_closed_form():
@@ -112,7 +113,7 @@ def test_algebraic_mass_against_quadrature_oracle():
     from scipy.integrate import quad
     g = RadialGrid(1, 12.0, 4000)
     eps, k = 0.03, 5 / 12
-    f = sample_profile(ProfileSpec.algebraic(eps, k), g)
+    f = sample_profile(ProfileSpec((Primitive("algebraic", amplitude=eps, k=k),)), g)
     oracle, err = quad(lambda r: eps * (1 + r * r) ** (-k), 0.0, 12.0,
                        epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
@@ -131,7 +132,7 @@ def test_dipole_mean_tuning():
 
 def test_norms():
     g = RadialGrid(2, 3.0, 150)
-    zero = sample_profile(ProfileSpec.zero(), g)
+    zero = sample_profile(ProfileSpec((Primitive("zero"),)), g)
     assert mean(zero) == 0.0
 
 

@@ -9,7 +9,8 @@ from scipy.linalg import LinAlgError, solve_banded
 from fujitalab import solver
 from fujitalab.core import ProblemParams
 from fujitalab.certificates import kaplan_functional, kaplan_weights
-from fujitalab.grid import Field, ProfileSpec, RadialGrid, integrate, sample_profile
+from fujitalab.grid import (Field, Primitive, ProfileSpec, RadialGrid, integrate,
+                            sample_profile)
 from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
                                  laplacian_banded, rhs)
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
@@ -33,7 +34,7 @@ def test_step_zero_equilibrium():
 
 def test_step_preserves_boundary_value():
     g = RadialGrid(3, 6.0, 300)
-    u = sample_profile(ProfileSpec.algebraic(0.1, 0.5), g)
+    u = sample_profile(ProfileSpec((Primitive("algebraic", amplitude=0.1, k=0.5),)), g)
     params = ProblemParams(n=3, p=2, q=2, b=1.0)
     out = solver._step(ImexStepper(g, 1.0), u.values[None], 1e-3, Reaction(g, [params]))
     assert out[0, -1] == u.values[-1]
@@ -541,6 +542,23 @@ def test_run_batch_ends_a_column_at_the_blowup_threshold_in_place(monkeypatch):
                                             SolveStatus.REACHED_HORIZON]
     for got, prm, u0 in zip(outcomes, params, u0s):
         assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_a_column_ends_blowup_only_after_a_step_it_took():
+    g = RadialGrid(1, 12.0, 200)
+    params = [ProblemParams(n=1, p=2, q=2)] * 3 + [ProblemParams(n=1, p=4, q=2)]
+    # the first two data start above the blow-up threshold and their first
+    # steps are rejected; the last two are ordinary
+    u0s = gaussian_data(g, [2e8, 1e9, 1.0, 0.05])
+    cfg = SolveConfig(t_end=1.0, blowup_threshold=1e8, trace_stride=5, store_fields=True)
+    outcomes = run_batch(params, u0s, cfg)
+    for got, prm, u0 in zip(outcomes, params, u0s):
+        assert_same_outcome(got, run(prm, u0, None, cfg))
+        assert got.status is not SolveStatus.BLOW_UP or got.t_last_finite > 0.0
+    high = [(o.status, o.t_last_finite, o.t_stall) for o in outcomes[:2]]
+    assert high == [(SolveStatus.BLOW_UP, outcomes[0].trace[-1].t, None),
+                    (SolveStatus.STEP_FLOOR_STALL, None, 0.0)]
+    assert len(outcomes[1].trace) == 1
 
 
 def test_run_batch_of_one_equals_run():
