@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import critical_exponents
+from .core import ProblemParams, critical_exponents
 from .grid import Field, RadialGrid
 from .operators import laplacian_banded, principal_vector
 
@@ -106,10 +106,13 @@ def ode_comparison(y0: float, p: float, lam: float, R: float) -> OdeVerdict:
 # Gaussian (decaying) supersolution
 # ---------------------------------------------------------------------------
 
-# every gaussian certificate is checked on this (t, r) lattice
+# every gaussian certificate is checked on this (t, r) lattice; the residual
+# reads only the grid's nodes, which are the same in every dimension
 _LATTICE_R_MAX = 12.0
 _LATTICE_T_MAX = 100.0
 _LATTICE_POINTS = 400
+_LATTICE_GRID = RadialGrid(1, _LATTICE_R_MAX, _LATTICE_POINTS - 2)
+_LATTICE_TIMES = np.linspace(0.0, _LATTICE_T_MAX, _LATTICE_POINTS)
 # time rows per block of the residual check (three buffers of 50 x 400 floats)
 _LATTICE_BLOCK_ROWS = 50
 
@@ -220,21 +223,18 @@ def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertif
     is the largest amplitude with eps^(p-1) + C_grad eps^(q-1) <= k
     (bisection), the exact scalar inequality making the residual
     nonnegative for all (t, r); the lattice then cross-checks the sign.
-    Refused (ValueError) unless n >= 1, p, q, b are finite, C_grad and the
-    bisection stay in the float range, the bisection bracket closes below
-    2^200, eps > 0 and the residual is >= 0 (so a NaN residual fails).
+    Refused (ValueError) unless ``ProblemParams`` takes (n, p, q, b), C_grad
+    and the bisection stay in the float range, the bisection bracket closes
+    below 2^200, eps > 0 and the residual is >= 0 (so a NaN residual fails).
     """
     p, q, b = float(p), float(q), float(b)
-    if not (n >= 1 and all(map(math.isfinite, (p, q, b)))):
-        raise ValueError(f"need n >= 1 and finite p, q, b; got n={n!r}, "
-                         f"p={p!r}, q={q!r}, b={b!r}")
+    # b >= 0 among them: the eps bisection needs a margin increasing in eps
+    ProblemParams(n=n, p=p, q=q, b=b)
     crit = critical_exponents(n)
     if not Fraction(p) > crit.p_fujita:
         raise ValueError(f"hypothesis failed: p <= p_F = 1 + 2/n = {float(crit.p_fujita):.6g}")
     if not Fraction(q) > crit.q_fujita:
         raise ValueError(f"hypothesis failed: q <= 1 + 1/(n+1) = {float(crit.q_fujita):.6g}")
-    if b < 0:
-        raise ValueError("b must be >= 0")
 
     k_source = n / 2.0 - 1.0 / (p - 1.0)
     k_gradient = n / 2.0 + (q - 2.0) / (2.0 * (q - 1.0))
@@ -256,13 +256,11 @@ def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertif
                                residual_min=math.nan, verified=False,
                                r_max=_LATTICE_R_MAX, t_max=_LATTICE_T_MAX,
                                lattice_points=_LATTICE_POINTS)
-    lattice_grid = RadialGrid(n, _LATTICE_R_MAX, _LATTICE_POINTS - 2)
-    times = np.linspace(0.0, _LATTICE_T_MAX, _LATTICE_POINTS)
-    res_min = supersolution_residual(cert, times, lattice_grid)
+    res_min = supersolution_residual(cert, _LATTICE_TIMES, _LATTICE_GRID)
     # beyond t_max both subtracted terms only decay (their t-exponents are
     # <= 0 by the choice of k); spot-check the minimum is not deteriorating
     late = supersolution_residual(cert, [_LATTICE_T_MAX * 2.0, _LATTICE_T_MAX * 4.0],
-                                  lattice_grid)
+                                  _LATTICE_GRID)
     # written so that a NaN residual fails too
     for value in (res_min, late):
         if not value >= 0.0:
@@ -313,17 +311,16 @@ def stationary_certificate(n: int, p: float, q: float, b: float,
                            eps: Optional[float] = None) -> StationaryCertificate:
     """Construct the stationary certificate for the forced problem.
 
-    Requires b >= 0, n >= 3, p > n/(n-2) and q > n/(n-1), compared exactly
-    (otherwise the admissible k-window is empty).  k sits at the window
-    midpoint; eps is bisected so the decay margin stays 25% clear of zero,
-    absorbing the grid evaluation of h > 0; an explicit eps is accepted as
-    long as it is finite and > 0 and its margin is negative.
+    Requires ``ProblemParams`` to take (n, p, q, b), n >= 3, p > n/(n-2) and
+    q > n/(n-1), compared exactly (otherwise the admissible k-window is
+    empty).  k sits at the window midpoint; eps is bisected so the decay
+    margin stays 25% clear of zero, absorbing the grid evaluation of h > 0;
+    an explicit eps is accepted as long as it is finite and > 0 and its
+    margin is negative.
     """
     p, q, b = float(p), float(q), float(b)
-    if not all(map(math.isfinite, (p, q, b))):
-        raise ValueError(f"need finite p, q, b; got p={p!r}, q={q!r}, b={b!r}")
-    if b < 0:  # the eps bisection needs a margin increasing in eps
-        raise ValueError(f"b must be >= 0, got b={b!r}")
+    # b >= 0 among them: the eps bisection needs a margin increasing in eps
+    ProblemParams(n=n, p=p, q=q, b=b)
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     if n < 3:

@@ -179,12 +179,8 @@ def parse_scenario(doc: dict):
                         required=("problem", "profile", "grid", "solve"))
     params = ProblemParams(**_section(sections["problem"], _PROBLEM_KEYS, "problem",
                                       required=("n", "p", "q")))
-    gr = _section(sections["grid"], _GRID_KEYS, "grid", required=_GRID_KEYS)
-    # keeps the squares and reciprocal squares of the grid spacing far
-    # inside the float range
-    if not 1e-50 <= gr["L"] <= 1e50:
-        raise ConfigError(f"grid.L: expected 1e-50 <= L <= 1e50, got {gr['L']!r}")
-    grid = RadialGrid(params.n, **gr)
+    grid = RadialGrid(params.n, **_section(sections["grid"], _GRID_KEYS, "grid",
+                                           required=_GRID_KEYS))
     solve = _section(sections["solve"], _SOLVE_KEYS, "solve")
     if "kaplan_R" in solve:  # refused here, before the output directory is made
         kaplan_nodes(grid, solve["kaplan_R"])
@@ -287,15 +283,22 @@ def _thread_count() -> int:
     return 1
 
 
-def _scan_row(p: float, q: float, theory: RegimeVerdict) -> dict:
+def _scan_row(p: float, q: float, theory: RegimeVerdict, numeric: str = "unresolved",
+              t_star: Optional[float] = None, eps: Optional[float] = None) -> dict:
     return {
         "p": p, "q": q,
         "verdict_theory": theory.verdict.value,
         "triggered_condition": theory.triggered_condition,
-        "verdict_numeric": "unresolved",
-        "t_star": None,
-        "certificate_eps": None,
+        "verdict_numeric": numeric,
+        "t_star": t_star,
+        "certificate_eps": eps,
     }
+
+
+# the numeric verdict of a BlowUpAll point's run, by its status
+_BLOWUP_VERDICTS = {SolveStatus.BLOW_UP: "BlowUp",
+                    SolveStatus.REACHED_HORIZON: "ReachedHorizon(anomaly)",
+                    SolveStatus.STEP_FLOOR_STALL: "unresolved"}
 
 
 def _scan_point(u0: Field, p: float, q: float, b: float, budget: float,
@@ -303,16 +306,11 @@ def _scan_point(u0: Field, p: float, q: float, b: float, budget: float,
     """The scan row of one BlowUpAll point (``theory`` is its classification),
     confirmed by its own ``run`` from the blow-up datum ``u0``."""
     params = ProblemParams(n=u0.grid.n, p=p, q=q, b=b)
-    row = _scan_row(p, q, theory)
     config = SolveConfig(t_end=budget, dt_init=1e-3, dt_min=1e-9, dt_max=2e-2,
                          trace_stride=5)
     outcome = run(params, u0, None, config)
-    if outcome.status is SolveStatus.BLOW_UP:
-        row["verdict_numeric"] = "BlowUp"
-        row["t_star"] = outcome.t_star_estimate
-    elif outcome.status is SolveStatus.REACHED_HORIZON:
-        row["verdict_numeric"] = "ReachedHorizon(anomaly)"
-    return row
+    return _scan_row(p, q, theory, _BLOWUP_VERDICTS[outcome.status],
+                     outcome.t_star_estimate)
 
 
 def _scan_global_points(grid: RadialGrid, points, b: float, budget: float) -> list:
@@ -347,22 +345,16 @@ def _scan_global_points(grid: RadialGrid, points, b: float, budget: float) -> li
 
     params = [ProblemParams(n=grid.n, p=p, q=q, b=b) for p, q, _ in certified]
     outcomes = run_batch(params, u0s, config, watch=check)
-    return rows + [_global_verdict(_scan_row(*point), cert, outcome.status, flag)
-                   for point, cert, outcome, flag
-                   in zip(certified, certs, outcomes, dominated)]
-
-
-def _global_verdict(row: dict, cert, status: SolveStatus, dominated: bool) -> dict:
-    """Fill in the certificate and the numeric verdict: dominated to the
-    horizon when the run reached it and ``dominated`` holds, a blow-up
-    contradicting the certificate when it blew up."""
-    row["certificate_eps"] = cert.eps
-    if status is SolveStatus.BLOW_UP:
-        # contradicts a verified certificate: hard failure, surfaced upstream
-        row["verdict_numeric"] = "BlowUp(CONTRADICTS_CERTIFICATE)"
-    elif status is SolveStatus.REACHED_HORIZON and dominated:
-        row["verdict_numeric"] = "DominatedToHorizon"
-    return row
+    for point, cert, outcome, flag in zip(certified, certs, outcomes, dominated):
+        if outcome.status is SolveStatus.BLOW_UP:
+            # contradicts a verified certificate: hard failure, surfaced upstream
+            numeric = "BlowUp(CONTRADICTS_CERTIFICATE)"
+        elif outcome.status is SolveStatus.REACHED_HORIZON and flag:
+            numeric = "DominatedToHorizon"
+        else:
+            numeric = "unresolved"
+        rows.append(_scan_row(*point, numeric, eps=cert.eps))
+    return rows
 
 
 def _float_cell(x) -> str:

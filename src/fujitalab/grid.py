@@ -40,8 +40,11 @@ class RadialGrid:
         except OverflowError:
             raise ValueError(f"dimension n={self.n!r} is too large: the area of the "
                              f"unit sphere overflows a float") from None
-        if not self.L > 0:
-            raise ValueError(f"truncation radius L must be > 0, got {self.L!r}")
+        # keeps the squares and reciprocal squares of the grid spacing far
+        # inside the float range
+        if not 1e-50 <= self.L <= 1e50:
+            raise ValueError(f"truncation radius L must satisfy 1e-50 <= L <= 1e50, "
+                             f"got {self.L!r}")
         # integrate weights by r^(n-1): the ball's scale must be a normal float
         try:
             scale = area * float(self.L) ** self.n

@@ -264,8 +264,6 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     grid = u0s[0].grid
     if any(u.grid != grid for u in u0s):
         raise ValueError("a batch needs one grid")
-    if h is not None and h.grid != grid:
-        raise ValueError("forcing and initial data live on different grids")
     stepper = ImexStepper(grid, config.theta_scheme)
     kaplan = None if config.kaplan_R is None else kaplan_weights(grid, config.kaplan_R)
     threshold = config.blowup_threshold

@@ -230,12 +230,21 @@ def test_gaussian_certificate_n2_example():
 
 
 @pytest.mark.parametrize("n, p, q, b", [(20, 50.0, 1.0952, 0.7), (150, 4.0, 2.0, 1.0),
-                                        (285, 4.0, 2.0, 1.0)])
+                                        (285, 4.0, 2.0, 1.0), (286, 1 + 2 / 286 + 2.5, 2.0, 1.0),
+                                        (300, 1 + 2 / 300 + 2.5, 2.0, 1.0),
+                                        (343, 1 + 2 / 343 + 2.5, 2.0, 1.0)])
 def test_gaussian_certificate_verifies_at_large_n_or_p(n, p, q, b):
-    # written as (t+1)^(kp) phi^p, the source term is inf * 0 at these points
+    # written as (t+1)^(kp) phi^p, the source term is inf * 0 at these points;
+    # from n = 286 on, B_12 itself is out of float range, which the lattice
+    # never integrates over
     cert = gaussian_certificate(n, p, q, b)
     assert cert.verified
     assert math.isfinite(cert.residual_min) and cert.residual_min >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 285])
+def test_gaussian_lattice_has_the_nodes_of_the_dimensions_own_grid(n):
+    assert certificates._LATTICE_GRID.nodes.tobytes() == RadialGrid(n, 12.0, 398).nodes.tobytes()
 
 
 def test_gaussian_certificate_refusal_names_the_failing_residual(monkeypatch):
@@ -407,7 +416,7 @@ def test_stationary_certificate_refuses_empty_window():
 @pytest.mark.parametrize("eps", [None, 0.03])
 def test_stationary_certificate_refuses_negative_b(eps):
     # the eps bisection needs a margin increasing in eps, which b < 0 breaks
-    with pytest.raises(ValueError, match=r"b must be >= 0, got b=-0.01"):
+    with pytest.raises(ValueError, match=r"gradient coefficient b must be >= 0, got -0.01"):
         stationary_certificate(3, 4, 2, -0.01, eps=eps)
 
 

@@ -171,6 +171,12 @@ def test_certify_gaussian_cli(tmp_path, capsys):
     assert doc["eps"] >= 0.2
 
 
+def test_certify_gaussian_sets_no_cap_on_n(capsys):
+    # B_12 in dimension 300 is out of float range; the lattice never integrates over it
+    assert main(["certify", "--n", "300", "--p", "4", "--q", "2", "--kind", "gaussian"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_certify_stationary_cli(tmp_path):
     out = tmp_path / "cert.json"
     code = main(["certify", "--n", "3", "--p", "4", "--q", "2", "--b", "1",
@@ -808,14 +814,12 @@ def _set(doc, path, value):
                     "centers": [1.6], "widths": [1, 1]}),
     (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
                     "centers": [1.6, 4.2], "widths": [1, 1, 1]}),
-    (("grid", "L"), 5e-324),
-    (("grid", "L"), 1e300),
     (("profile", "kind"), "triangle"),
     (("forcing", "kind"), "triangle"),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
         "M-float", "output-stride-float", "output-stride-string", "problem-number",
         "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
-        "sum-overflow", "dipole-one-center", "dipole-three-widths", "L-tiny", "L-huge",
+        "sum-overflow", "dipole-one-center", "dipole-three-widths",
         "profile-kind-unknown", "forcing-kind-unknown"])
 def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     doc = blowup_config(tmp_path / "out")
@@ -823,6 +827,18 @@ def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
         parse_scenario(doc)
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
+
+
+@pytest.mark.parametrize("L", [5e-324, 1e300], ids=["L-tiny", "L-huge"])
+def test_run_refuses_a_radius_its_grid_refuses(tmp_path, capsys, L):
+    doc = blowup_config(tmp_path / "out")
+    doc["grid"]["L"] = L
+    with pytest.raises(ValueError, match="truncation radius L must satisfy") as refusal:
+        parse_scenario(doc)
+    assert refusal.type is ValueError  # the grid's refusal, not a ConfigError
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert f"error: invalid config: {refusal.value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # Scenario fuzzing: each field is mostly drawn from its valid range and

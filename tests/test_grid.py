@@ -143,6 +143,17 @@ def test_profile_composition_limit():
         _ = spec + spec + ProfileSpec.gaussian(1.0)
 
 
+@pytest.mark.parametrize("L", [0, -1, 5e-324, 1e-51, 1e51, 1e300, math.nan, math.inf])
+def test_grid_refuses_a_radius_outside_its_range(L):
+    with pytest.raises(ValueError, match=r"truncation radius L must satisfy 1e-50 <= L <= 1e50"):
+        RadialGrid(1, L, 100)
+
+
+@pytest.mark.parametrize("L", [1e-50, 1e50])
+def test_grid_accepts_the_ends_of_its_radius_range(L):
+    assert RadialGrid(1, L, 100).nodes[-1] == L
+
+
 def test_field_csv_roundtrip():
     g = RadialGrid(1, 1.0, 3)
     f = Field(g, np.array([1.0, 0.25, -0.5, 0.125, 0.0]))

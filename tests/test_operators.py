@@ -217,6 +217,11 @@ def test_eigenpair_converges_on_small_balls_and_wobbling_estimates(R):
     assert abs(integrate(pair.phi) - 1.0) < 1e-10
 
 
+def test_eigenpair_refuses_a_radius_its_grid_refuses():
+    with pytest.raises(ValueError, match=r"truncation radius L must satisfy 1e-50 <= L <= 1e50"):
+        principal_eigenpair(1, 1e-200, 200)
+
+
 def test_eigenpair_n3_analytic():
     pair = principal_eigenpair(3, 1.0, 2000)
     assert pair.lam == pytest.approx(math.pi ** 2, rel=1e-4)

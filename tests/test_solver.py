@@ -585,7 +585,7 @@ def test_run_batch_rejects_mixed_problems():
 
 @pytest.mark.parametrize("columns, forcing_m, kaplan_R, message", [
     (2, None, None, "one initial field per problem"),
-    (1, 300, None, "different grids"),
+    (1, 300, None, "forcing field lives on a different grid"),
     (1, None, 13.0, "kaplan_R: expected two grid cells"),
     (1, None, 1e-300, "kaplan_R: expected two grid cells"),
 ], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L", "kaplan_R-below-one-cell"])
