@@ -6,13 +6,12 @@ from .core import (CriticalExponents, ProblemParams, RegimeVerdict, Verdict,
                    classify_positive, critical_exponents)
 from .grid import (Field, ProfileSpec, RadialGrid, dipole_with_mean,
                    field_to_csv, integrate, mean, sample_profile)
-from .operators import (Eigenpair, gradient_magnitude, laplacian,
-                        principal_eigenpair, rhs)
+from .operators import Eigenpair, principal_eigenpair
 from .certificates import (GaussianCertificate, OdeVerdict, RateExponents,
                            StationaryCertificate, certificate_to_json,
                            gaussian_certificate, gaussian_supersolution,
-                           kaplan_functional, ode_comparison, rate_exponents,
-                           stationary_certificate, supersolution_residual)
+                           ode_comparison, rate_exponents, stationary_certificate,
+                           supersolution_residual)
 from .solver import (SolveConfig, SolveOutcome, SolveStatus, TraceRecord,
                      TRUNCATION_NOTE, comparison_tolerance, detect_blowup,
                      heat_reference, run, trace_to_csv)
@@ -23,12 +22,11 @@ __all__ = [
     "critical_exponents",
     "Field", "ProfileSpec", "RadialGrid", "dipole_with_mean", "field_to_csv",
     "integrate", "mean", "sample_profile",
-    "Eigenpair", "gradient_magnitude", "laplacian", "principal_eigenpair", "rhs",
+    "Eigenpair", "principal_eigenpair",
     "GaussianCertificate", "OdeVerdict", "RateExponents",
     "StationaryCertificate", "certificate_to_json",
-    "gaussian_certificate", "gaussian_supersolution", "kaplan_functional",
-    "ode_comparison", "rate_exponents",
-    "stationary_certificate", "supersolution_residual",
+    "gaussian_certificate", "gaussian_supersolution", "ode_comparison",
+    "rate_exponents", "stationary_certificate", "supersolution_residual",
     "SolveConfig", "SolveOutcome", "SolveStatus", "TraceRecord",
     "TRUNCATION_NOTE", "comparison_tolerance", "detect_blowup",
     "heat_reference", "run", "trace_to_csv",

@@ -388,17 +388,18 @@ class RateExponents:
 
 def rate_exponents(n: int, p: float, q: float) -> RateExponents:
     p, q = float(p), float(q)
-    if not (p > 1 and q > 1):
-        raise ValueError("rate exponents need p > 1 and q > 1")
+    ProblemParams(n=n, p=p, q=q)
+    if not q > 1:
+        raise ValueError(f"rate exponents need q > 1, got {q!r}")
     r = p * (q - 1.0) / (q * (p - 1.0))
     e1 = n * r - 1.0 / (p - 1.0)
     e2 = 1.0 + n * r - r * q / (q - 1.0)
     combined = ((q - 1.0) * (n * p - 1.0) - 1.0) / (q * (p - 1.0))
     inhom = (p / (p - 1.0)) * (n * (q - 1.0) - q) / q
     scale = max(1.0, abs(e1), abs(e2), abs(combined))
-    if abs(e1 - e2) > 1e-12 * scale or abs(e1 - combined) > 1e-12 * scale:
+    if not (abs(e1 - e2) <= 1e-12 * scale and abs(e1 - combined) <= 1e-12 * scale):  # NaN fails
         raise AssertionError("three-way exponent identity violated beyond roundoff")
-    if abs((e1 - 1.0) - inhom) > 1e-12 * max(1.0, abs(inhom)):
+    if not abs((e1 - 1.0) - inhom) <= 1e-12 * max(1.0, abs(inhom)):
         raise AssertionError("forced-problem exponent identity violated beyond roundoff")
     return RateExponents(n=n, p=p, q=q, r=r, e1=e1, e2=e2,
                          combined=combined, inhom=inhom)

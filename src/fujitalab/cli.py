@@ -63,19 +63,16 @@ def _number(value, where: str) -> Real:
     return value
 
 
-_REQUIRED = object()
 _KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
                dict: "an object", list: "a list"}
 
 
-def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+def _field(obj: dict, key: str, kind, where: str):
     """``obj[key]`` checked to be a ``kind``: bool, int, str, dict, list, Real
     (a number or [num, den] pair, see ``_number``), float (a Real, rounded),
-    "pair" (a list of two floats) or object (anything); ``default`` if absent."""
+    "pair" (a list of two floats) or object (anything); refused if absent."""
     if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
+        raise ConfigError(f"{where}: missing required key '{key}'")
     value = obj[key]
     if kind is Real or kind is float:
         value = _number(value, f"{where}.{key}")
@@ -403,9 +400,9 @@ def cmd_scan(args) -> int:
         for q in qs:
             try:
                 theory = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b))
-            except ValueError:
-                print(f"error: scan point (p={p}, q={q}) outside standing assumptions",
-                      file=sys.stderr)
+            except ValueError as exc:
+                print(f"error: scan point (p={p}, q={q}) outside standing assumptions: "
+                      f"{exc}", file=sys.stderr)
                 return 2
             (blowup_points if theory.verdict is Verdict.BLOW_UP_ALL
              else global_points).append((p, q, theory))

@@ -36,8 +36,7 @@ class ProblemParams:
     use_gradient: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be an integer >= 1, got {self.n!r}")
+        _require_dimension(self.n)
         for name in ("p", "q", "b"):  # an int or a Fraction is finite at any size
             value = getattr(self, name)
             if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
@@ -86,9 +85,14 @@ class CriticalExponents:
         return 1 + 1 / (self.n * Fraction(p) - 1)
 
 
-def critical_exponents(n: int) -> CriticalExponents:
+def _require_dimension(n: int) -> None:
+    """The dimension rule of the problem, its critical exponents and its grid."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
+
+
+def critical_exponents(n: int) -> CriticalExponents:
+    _require_dimension(n)
     return CriticalExponents(
         n=n, p_fujita=1 + Fraction(2, n), q_fujita=1 + Fraction(1, n + 1),
         p_star=None if n == 1 else math.inf if n == 2 else Fraction(n, n - 2),

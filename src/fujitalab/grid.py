@@ -16,6 +16,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .core import _require_dimension
+
 # the largest M a grid takes: a run holds about a dozen (M+2)-float arrays per
 # column plus the (3, M+1) band of A, so M = 10^7 is about 1 GB
 M_MAX = 10 ** 7
@@ -33,8 +35,7 @@ class RadialGrid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be an integer >= 1, got {self.n!r}")
+        _require_dimension(self.n)
         try:
             area = sphere_area(self.n)
         except OverflowError:
@@ -102,9 +103,8 @@ def _integrate_rows(v: np.ndarray, g: RadialGrid) -> np.ndarray:
     return (v * g.weights).sum(axis=-1)
 
 
-def mean(f: Field) -> float:
-    """Mass of f over the truncated ball (the integral, not the average)."""
-    return integrate(f)
+# the mass of f over the truncated ball (the integral, not the average)
+mean = integrate
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class SolveConfig:
     # theta < 1 only at dt <= 1/((1-theta) max_i(c_plus + c_minus)), c_plus + c_minus = -A_ii
     theta_scheme: float = 1.0
     trace_stride: int = 10
-    kaplan_R: Optional[float] = None
+    kaplan_R: Optional[float] = None  # refused by ``kaplan_nodes`` when a run starts
     store_fields: bool = False
 
     def __post_init__(self) -> None:
@@ -78,15 +78,14 @@ class SolveConfig:
         if not 0.0 <= self.theta_scheme <= 1.0:
             raise ValueError("theta_scheme must lie in [0, 1]")
         if self.trace_stride < 1:
-            raise ValueError("trace_stride must be >= 1")
+            raise ValueError(f"output.stride (trace_stride) must be >= 1, "
+                             f"got {self.trace_stride!r}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError("t_end must be finite and > 0")
         if not math.isfinite(self.dt_max):
             raise ValueError("dt_max must be finite")
         if not self.growth_cap > 0:
             raise ValueError("growth_cap must be > 0")
-        if not (self.kaplan_R is None or 0 < self.kaplan_R < math.inf):
-            raise ValueError(f"kaplan_R must be finite and > 0, got {self.kaplan_R!r}")
 
 
 @dataclass(frozen=True)

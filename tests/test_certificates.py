@@ -164,6 +164,11 @@ def test_ode_comparison_closed_forms():
     assert free.t_star == pytest.approx(0.5, rel=1e-14)
 
 
+def test_ode_comparison_refuses_a_nonpositive_start():
+    with pytest.raises(ValueError, match=r"need y0 > 0, p > 1, lam >= 0, R > 0"):
+        ode_comparison(0.0, 2.0, 1.0, 1.0)
+
+
 def test_ode_comparison_against_adaptive_oracle():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -420,6 +425,11 @@ def test_stationary_certificate_refuses_negative_b(eps):
         stationary_certificate(3, 4, 2, -0.01, eps=eps)
 
 
+def test_stationary_certificate_refuses_a_grid_of_another_dimension():
+    with pytest.raises(ValueError, match="grid dimension does not match the certificate"):
+        stationary_certificate(3, 4, 2, 1, grid=RadialGrid(1, 12.0, 100))
+
+
 def test_stationary_certificate_rejects_too_large_eps():
     with pytest.raises(ValueError, match="margin"):
         stationary_certificate(3, 4, 2, 1, eps=0.05)
@@ -467,6 +477,28 @@ def test_rate_exponents_identities_random():
         assert abs((re.e1 - 1.0) - re.inhom) <= 1e-12 * max(1.0, abs(re.inhom))
 
 
+@pytest.mark.parametrize("n, p, q, message", [
+    (0, 4, 2, "dimension n must be an integer >= 1, got 0"),
+    (-2, 4, 2, "dimension n must be an integer >= 1, got -2"),
+    (2.5, 4, 2, "dimension n must be an integer >= 1, got 2.5"),
+    (1, math.inf, 2, "p must be finite, got inf"),
+    (1, 3, math.inf, "q must be finite, got inf"),
+    (1, 1, 2, "source exponent p must satisfy p > 1, got 1.0"),
+    (1, 3, 0.5, "gradient exponent q must satisfy q >= 1, got 0.5"),
+    (1, 3, 1, "rate exponents need q > 1, got 1.0"),
+], ids=["n-0", "n-negative", "n-fractional", "p-inf", "q-inf", "p-1", "q-below-1", "q-1"])
+def test_rate_exponents_refuse_what_problem_params_and_q_above_1_refuse(n, p, q, message):
+    with pytest.raises(ValueError) as refusal:
+        rate_exponents(n, p, q)
+    assert str(refusal.value) == message
+
+
+def test_rate_exponents_refuse_a_nan_exponent():
+    # p(q-1) and q(p-1) both overflow to inf, so r is NaN
+    with pytest.raises(AssertionError, match="three-way exponent identity"):
+        rate_exponents(1, 1e308, 3)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -482,3 +514,6 @@ def test_certificate_json_shapes():
     assert doc["type"] == "stationary_supersolution"
     assert doc["verified"] is True
     assert "margin" in doc
+
+    with pytest.raises(TypeError, match="not a certificate"):
+        certificate_to_json(object())

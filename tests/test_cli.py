@@ -231,6 +231,13 @@ def test_table_cli(capsys):
     assert "1.5" in text
 
 
+def test_table_refuses_a_dimension_below_1(capsys):
+    assert main(["table", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: dimension n must be an integer >= 1, got 0\n"
+    assert captured.out == ""
+
+
 def test_table_prints_the_nearest_float_of_each_exact_threshold(capsys):
     assert main(["table", "--n", "3"]) == 0
     text = capsys.readouterr().out
@@ -561,6 +568,15 @@ def test_scan_refuses_a_point_outside_the_standing_assumptions(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_scan_names_the_rule_a_refused_point_breaks(tmp_path, capsys):
+    out = tmp_path / "scan"
+    assert main(SCAN_2X2 + ["--p-range", "0.5", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scan point (p=0.5, q=1.4) outside standing assumptions: "
+        "source exponent p must satisfy p > 1, got 0.5\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--b", "1e300"],
     ["--q-range", "1e6", "1e6"],
@@ -598,15 +614,53 @@ def test_scan_leaves_a_point_whose_certificate_is_refused_unresolved(
     ("kaplan_R", -1.0),
     ("kaplan_R", 1e-300),
     ("kaplan_R", 1.5 * 12.0 / 301),  # 1.5 cells of blowup_config's grid
+    ("dt_init", 1.0),  # above blowup_config's dt_max
+    ("dt_min", 0.0),
+    ("blowup_threshold", 1.0),
+    ("theta_scheme", 1.5),
 ], ids=["t_end-infinite", "t_end-negative", "dt_max-infinite", "growth_cap-zero",
         "growth_cap-negative", "kaplan_R-beyond-L", "kaplan_R-negative",
-        "kaplan_R-below-one-cell", "kaplan_R-below-two-cells"])
+        "kaplan_R-below-one-cell", "kaplan_R-below-two-cells", "dt_init-above-dt_max",
+        "dt_min-zero", "blowup_threshold-1", "theta_scheme-above-1"])
 def test_run_rejects_invalid_solve_config(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)
     doc["solve"][key] = value
     assert main(["run", str(write_config(tmp_path, doc))]) == 2
     assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_names_output_stride_when_it_refuses_the_stride(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["output"]["stride"] = 0
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: output.stride (trace_stride) must be >= 1, got 0\n")
+    assert not out_dir.exists()
+
+
+def test_run_refuses_a_config_root_that_is_not_an_object(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, [blowup_config(out_dir)]))]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: config root must be a JSON object\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"kind": "annular_bump", "amplitude": 1.0, "center": 2.0, "width": 0},
+     "annular_bump needs width > 0"),
+    ({"kind": "algebraic", "amplitude": 1.0, "k": 0}, "algebraic profile needs k > 0"),
+], ids=["annular_bump-width-0", "algebraic-k-0"])
+def test_run_refuses_a_profile_before_making_the_output_directory(tmp_path, capsys,
+                                                                  profile, message):
+    out_dir = tmp_path / "out"
+    doc = blowup_config(out_dir)
+    doc["profile"] = profile
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
     assert not out_dir.exists()
 
 
@@ -815,12 +869,13 @@ def _set(doc, path, value):
     (("profile",), {"kind": "signed_dipole", "a_plus": 1, "a_minus": 1,
                     "centers": [1.6, 4.2], "widths": [1, 1, 1]}),
     (("profile", "kind"), "triangle"),
+    (("profile", "kind"), KeyError),
     (("forcing", "kind"), "triangle"),
 ], ids=["use_source-string", "use_gradient-string", "n-float", "n-string",
         "M-float", "output-stride-float", "output-stride-string", "problem-number",
         "p-missing", "dipole-center-string", "sum-empty", "amplitude-infinite",
         "sum-overflow", "dipole-one-center", "dipole-three-widths",
-        "profile-kind-unknown", "forcing-kind-unknown"])
+        "profile-kind-unknown", "profile-kind-missing", "forcing-kind-unknown"])
 def test_parse_scenario_rejects_mistyped_fields(tmp_path, path, value):
     doc = blowup_config(tmp_path / "out")
     _set(doc, path, value)

@@ -7,6 +7,7 @@ import pytest
 from fujitalab.core import (ProblemParams, Verdict, classify_inhomogeneous,
                             classify_mean_nonneg, classify_positive,
                             critical_exponents)
+from fujitalab.grid import RadialGrid
 
 
 def test_exponents_n1():
@@ -38,6 +39,16 @@ def test_exponents_reject_bad_dimension():
         critical_exponents(0)
     with pytest.raises(ValueError):
         critical_exponents(-2)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.5, "3"])
+def test_every_reader_of_the_dimension_rule_refuses_with_its_message(n):
+    message = f"dimension n must be an integer >= 1, got {n!r}"
+    for refuses in (lambda: ProblemParams(n=n, p=3, q=2), lambda: critical_exponents(n),
+                    lambda: RadialGrid(n, 3.0, 10)):
+        with pytest.raises(ValueError) as refusal:
+            refuses()
+        assert str(refusal.value) == message
 
 
 def test_exponents_are_exact_rationals():
@@ -152,6 +163,13 @@ def test_classify_inhomogeneous_examples():
 def test_classify_inhomogeneous_needs_n_at_least_2():
     with pytest.raises(ValueError):
         classify_inhomogeneous(ProblemParams(n=1, p=2, q=2))
+
+
+@pytest.mark.parametrize("classify, name", [
+    (classify_mean_nonneg, "nonnegative-mean"), (classify_inhomogeneous, "inhomogeneous")])
+def test_the_sign_changing_and_forced_classifiers_need_q_above_1(classify, name):
+    with pytest.raises(ValueError, match=f"^{name} classification requires q > 1$"):
+        classify(ProblemParams(n=3, p=3, q=1))
 
 
 def test_classify_inhomogeneous_n2_global_branch_inconclusive():

@@ -120,6 +120,10 @@ def test_algebraic_mass_against_quadrature_oracle():
     assert integrate(f) == pytest.approx(2.0 * oracle, rel=1e-7)
 
 
+def test_mean_is_integrate():
+    assert mean is integrate
+
+
 def test_dipole_mean_tuning():
     g = RadialGrid(1, 12.0, 2000)
     spec = dipole_with_mean(1.5, centers=(2.0, 6.0), widths=(1.0, 1.5), grid=g)

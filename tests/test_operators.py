@@ -217,6 +217,11 @@ def test_eigenpair_converges_on_small_balls_and_wobbling_estimates(R):
     assert abs(integrate(pair.phi) - 1.0) < 1e-10
 
 
+def test_eigenpair_refuses_a_grid_below_100_nodes():
+    with pytest.raises(ValueError, match="eigenpair grid needs M >= 100"):
+        principal_eigenpair(1, 1.0, 99)
+
+
 def test_eigenpair_refuses_a_radius_its_grid_refuses():
     with pytest.raises(ValueError, match=r"truncation radius L must satisfy 1e-50 <= L <= 1e50"):
         principal_eigenpair(1, 1e-200, 200)

@@ -44,9 +44,8 @@ def test_every_exported_name_is_a_package_attribute():
     assert [name for name in fujitalab.__all__ if not hasattr(fujitalab, name)] == []
 
 
-# exported with no reader yet: the reference Laplacian the operator tests
-# compare A against, and the forced-problem classifier a planned verdict reads
-UNREAD_EXPORTS = {"laplacian", "classify_inhomogeneous"}
+# exported with no reader yet: the forced-problem classifier a planned verdict reads
+UNREAD_EXPORTS = {"classify_inhomogeneous"}
 
 
 def _identifiers(tree, own=()):

@@ -198,6 +198,8 @@ def test_heat_reference_values():
     at_r2 = f.values[200]
     assert g1.nodes[200] == pytest.approx(2.0, abs=1e-13)
     assert at_r2 == pytest.approx(2 ** -0.5 * math.exp(-0.5), abs=1e-12)
+    with pytest.raises(ValueError, match="heat_reference needs t >= 0"):
+        heat_reference(-1.0, g)
 
 
 def test_pure_heat_tracks_reference():
@@ -588,7 +590,12 @@ def test_run_batch_rejects_mixed_problems():
     (1, 300, None, "forcing field lives on a different grid"),
     (1, None, 13.0, "kaplan_R: expected two grid cells"),
     (1, None, 1e-300, "kaplan_R: expected two grid cells"),
-], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L", "kaplan_R-below-one-cell"])
+    (1, None, -1.0, "kaplan_R: expected two grid cells"),
+    (1, None, 0.0, "kaplan_R: expected two grid cells"),
+    (1, None, math.nan, "kaplan_R: expected two grid cells"),
+    (1, None, math.inf, "kaplan_R: expected two grid cells"),
+], ids=["lengths", "forcing-grid", "kaplan_R-beyond-L", "kaplan_R-below-one-cell",
+        "kaplan_R-negative", "kaplan_R-zero", "kaplan_R-nan", "kaplan_R-inf"])
 def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     u0s = gaussian_data(RadialGrid(1, 12.0, 200), [0.1])
     h = None
@@ -598,9 +605,3 @@ def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     with pytest.raises(ValueError, match=message):
         run_batch([ProblemParams(n=1, p=3, q=2)] * columns, u0s,
                   SolveConfig(t_end=0.1, kaplan_R=kaplan_R), h)
-
-
-@pytest.mark.parametrize("kaplan_R", [-1.0, 0.0, math.nan, math.inf])
-def test_solve_config_refuses_a_kaplan_radius_that_is_not_finite_and_positive(kaplan_R):
-    with pytest.raises(ValueError, match="kaplan_R must be finite and > 0"):
-        SolveConfig(kaplan_R=kaplan_R)
