@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,12 +35,11 @@ from .operators import laplacian_banded, principal_vector
 # ---------------------------------------------------------------------------
 
 def kaplan_functional(u: Field, R: float) -> float:
-    """y = sum(u * kaplan_weights(u.grid, R)), the Kaplan functional of u over
-    B_R inside the grid's ball B_L; u must be finite at every node, also
-    outside B_R."""
+    """y = sum(u * w), w the ``kaplan_weights`` of B_R on u's grid inside the
+    grid's ball B_L; u must be finite at every node, also outside B_R."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("cannot integrate a non-finite field")
-    return float((u.values * kaplan_weights(u.grid, R)).sum())
+    return float((u.values * kaplan_weights(u.grid, R)[1]).sum())
 
 
 def kaplan_nodes(grid: RadialGrid, R: float) -> int:
@@ -52,24 +52,25 @@ def kaplan_nodes(grid: RadialGrid, R: float) -> int:
     return int(np.searchsorted(grid.nodes, R, side="right")) - 1
 
 
-def kaplan_weights(grid: RadialGrid, R: float) -> np.ndarray:
-    """The Kaplan weights w of the ball B_R on ``grid``, 2h <= R <= L: with
-    r_m the last node radius <= R, the principal left eigenvector of the
-    grid's own A on nodes 0..m-1 (Dirichlet at node m), summing to 1 and zero
-    from node m on.  As A = V^-1 S, w is the block's eigenfunction times the
-    shell volumes V.  Let lam_m be its eigenvalue of -A.  Then one theta = 1
-    step of u_t = Lap u + |u|^p + b |u_r|^q + h from u >= 0 with b >= 0 and
-    h >= 0 gives y = w.u with (1 + dt lam_m) y+ >= y + dt y^p up to rounding:
-    the flux into the block from node m is >= 0, and Jensen's inequality
-    holds for weights that sum to 1.  A theta < 1 step has no such guarantee.
+def kaplan_weights(grid: RadialGrid, R: float) -> Tuple[float, np.ndarray]:
+    """(lam_m, w): the Kaplan weights w of the ball B_R on ``grid``, 2h <= R
+    <= L, and their eigenvalue, from one eigen-solve.  With r_m the last node
+    radius <= R, w is the principal left eigenvector of the grid's own A on
+    nodes 0..m-1 (Dirichlet at node m), summing to 1 and zero from node m on,
+    and lam_m its eigenvalue of -A.  As A = V^-1 S, w is the block's
+    eigenfunction times the shell volumes V.  One theta = 1 step of
+    u_t = Lap u + |u|^p + b |u_r|^q + h from u >= 0 with b >= 0 and h >= 0
+    gives y = w.u with (1 + dt lam_m) y+ >= y + dt y^p up to rounding: the
+    flux into the block from node m is >= 0, and Jensen's inequality holds
+    for weights that sum to 1.  A theta < 1 step has no such guarantee.
     """
     m = kaplan_nodes(grid, R)
     a = laplacian_banded(grid)[0][:, :m]
     # the transposed block of -A: sub- and super-diagonal swap, one column apart
-    _, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
+    lam, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
     w = np.zeros(grid.M + 2)
     w[:m] = x / x.sum()
-    return w
+    return lam, w
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,20 @@ class OdeVerdict:
     threshold: float  # a^(1/(p-1)); the stationary level
 
 
+def ode_blowup_time(y, p, a):
+    """t* = ln(1/(1 - a y^(1-p))) / ((p-1) a), the blow-up time of
+    y' = y^p - a y from y >= 0 for a > 0, elementwise over numpy arrays;
+    inf where y^(p-1) <= a, from where y does not blow up."""
+    e = 1.0 - p
+    return np.log1p(-np.minimum(a * y ** e, 1.0)) / (e * a)
+
+
 def ode_comparison(y0: float, p: float, lam: float, R: float) -> OdeVerdict:
     """Closed-form blow-up analysis of y' = y^p - (lam/R^2) y, y(0) = y0.
 
     Substituting z = y^(1-p) linearizes the equation,
     z(t) = 1/a + (z0 - 1/a) e^((p-1) a t); y blows up iff y0^(p-1) > a with
-    t* = ln(1/(1 - a y0^(1-p))) / ((p-1) a), degenerating to
-    t* = y0^(1-p)/(p-1) for a = 0.
+    t* = ``ode_blowup_time``, degenerating to t* = y0^(1-p)/(p-1) for a = 0.
     """
     if not (y0 > 0 and p > 1 and lam >= 0 and R > 0):
         raise ValueError("need y0 > 0, p > 1, lam >= 0, R > 0")
@@ -97,8 +105,8 @@ def ode_comparison(y0: float, p: float, lam: float, R: float) -> OdeVerdict:
         return OdeVerdict(blows_up=True, t_star=t_star, threshold=0.0)
     threshold = a ** (1.0 / (p - 1.0))
     if y0 ** (p - 1.0) > a:
-        t_star = math.log(1.0 / (1.0 - a * y0 ** (1.0 - p))) / ((p - 1.0) * a)
-        return OdeVerdict(blows_up=True, t_star=t_star, threshold=threshold)
+        return OdeVerdict(blows_up=True, t_star=float(ode_blowup_time(y0, p, a)),
+                          threshold=threshold)
     return OdeVerdict(blows_up=False, t_star=None, threshold=threshold)
 
 
@@ -133,6 +141,9 @@ class GaussianCertificate:
     r_max: float
     t_max: float
     lattice_points: int
+    # the lattice time rows whose amplitude eps (t+1)^(k-n/2) is a positive
+    # normal float; on the others z underflows and the row checks nothing
+    normal_rows: int = 0
 
 
 def _bisect_largest(g) -> float:
@@ -252,10 +263,13 @@ def gaussian_certificate(n: int, p: float, q: float, b: float) -> GaussianCertif
     if not eps > 0.0:
         raise ValueError(f"eps underflows to {eps!r} (C_grad = {c_grad!r})")
 
+    amplitudes = eps * (_LATTICE_TIMES + 1.0) ** (k - n / 2.0)
     cert = GaussianCertificate(n=n, p=p, q=q, b=b, k=k, eps=eps, C_grad=c_grad,
                                residual_min=math.nan, verified=False,
                                r_max=_LATTICE_R_MAX, t_max=_LATTICE_T_MAX,
-                               lattice_points=_LATTICE_POINTS)
+                               lattice_points=_LATTICE_POINTS,
+                               normal_rows=int(np.count_nonzero(
+                                   amplitudes >= sys.float_info.min)))
     res_min = supersolution_residual(cert, _LATTICE_TIMES, _LATTICE_GRID)
     # beyond t_max both subtracted terms only decay (their t-exponents are
     # <= 0 by the choice of k); spot-check the minimum is not deteriorating
@@ -396,6 +410,10 @@ def rate_exponents(n: int, p: float, q: float) -> RateExponents:
     e2 = 1.0 + n * r - r * q / (q - 1.0)
     combined = ((q - 1.0) * (n * p - 1.0) - 1.0) / (q * (p - 1.0))
     inhom = (p / (p - 1.0)) * (n * (q - 1.0) - q) / q
+    if not all(map(math.isfinite, (r, e1, e2, combined, inhom))):
+        raise ValueError(f"the rate exponents of n={n!r}, p={p!r}, q={q!r} leave the "
+                         f"float range: r={r!r}, e1={e1!r}, e2={e2!r}, "
+                         f"combined={combined!r}, inhom={inhom!r}")
     scale = max(1.0, abs(e1), abs(e2), abs(combined))
     if not (abs(e1 - e2) <= 1e-12 * scale and abs(e1 - combined) <= 1e-12 * scale):  # NaN fails
         raise AssertionError("three-way exponent identity violated beyond roundoff")
@@ -418,7 +436,7 @@ def certificate_to_json(cert) -> dict:
             "k": cert.k, "eps": cert.eps, "C_grad": cert.C_grad,
             "residual_min": cert.residual_min, "verified": cert.verified,
             "lattice": {"r_max": cert.r_max, "t_max": cert.t_max,
-                        "points": cert.lattice_points},
+                        "points": cert.lattice_points, "normal_rows": cert.normal_rows},
         }
     if isinstance(cert, StationaryCertificate):
         return {

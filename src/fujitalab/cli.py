@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -22,14 +23,15 @@ from .certificates import (certificate_to_json, gaussian_certificate,
                            gaussian_supersolution, kaplan_nodes,
                            stationary_certificate)
 from .core import (ProblemParams, Real, RegimeVerdict, Verdict,
-                   classify_positive, critical_exponents)
+                   _require_theorem_regime, classify_positive, critical_exponents)
 from .grid import (M_MAX, Field, Primitive, ProfileSpec, RadialGrid,
                    field_to_csv, sample_profile)
-from .solver import (SolveConfig, SolveStatus, TRUNCATION_NOTE,
+from .solver import (SolveConfig, SolveOutcome, SolveStatus, TRUNCATION_NOTE,
                      comparison_tolerance, heat_reference, run, run_batch,
                      trace_to_csv)
 
-SCHEMA_VERSION = 1
+# 2: a BlowUp's t_star_estimate is its closed bracket's midpoint when it has one
+SCHEMA_VERSION = 2
 # the most (p, q) points a scan takes: each is classified and kept as a row
 # (about 500 bytes, more in scan.json) before any is run, so 10^6 is about 1 GB
 SCAN_POINTS_MAX = 10 ** 6
@@ -237,6 +239,8 @@ def cmd_run(args) -> int:
         "schema": SCHEMA_VERSION,
         "status": outcome.status.value,
         "t_star_estimate": outcome.t_star_estimate,
+        "t_star_lower": outcome.t_star_lower,
+        "t_star_upper": outcome.t_star_upper,
         "fit_quality": outcome.fit_quality,
         "t_last_finite": outcome.t_last_finite,
         "t_stall": outcome.t_stall,
@@ -281,13 +285,17 @@ def _thread_count() -> int:
 
 
 def _scan_row(p: float, q: float, theory: RegimeVerdict, numeric: str = "unresolved",
-              t_star: Optional[float] = None, eps: Optional[float] = None) -> dict:
+              t_star: Optional[float] = None, eps: Optional[float] = None,
+              outcome: Optional[SolveOutcome] = None) -> dict:
+    """A scan row; the bracket ends of the point's run, if it ran, go to scan.json only."""
     return {
         "p": p, "q": q,
         "verdict_theory": theory.verdict.value,
         "triggered_condition": theory.triggered_condition,
         "verdict_numeric": numeric,
         "t_star": t_star,
+        "t_star_lower": None if outcome is None else outcome.t_star_lower,
+        "t_star_upper": None if outcome is None else outcome.t_star_upper,
         "certificate_eps": eps,
     }
 
@@ -307,7 +315,7 @@ def _scan_point(u0: Field, p: float, q: float, b: float, budget: float,
                          trace_stride=5)
     outcome = run(params, u0, None, config)
     return _scan_row(p, q, theory, _BLOWUP_VERDICTS[outcome.status],
-                     outcome.t_star_estimate)
+                     outcome.t_star_estimate, outcome=outcome)
 
 
 def _scan_global_points(grid: RadialGrid, points, b: float, budget: float) -> list:
@@ -350,7 +358,7 @@ def _scan_global_points(grid: RadialGrid, points, b: float, budget: float) -> li
             numeric = "DominatedToHorizon"
         else:
             numeric = "unresolved"
-        rows.append(_scan_row(*point, numeric, eps=cert.eps))
+        rows.append(_scan_row(*point, numeric, eps=cert.eps, outcome=outcome))
     return rows
 
 
@@ -370,8 +378,6 @@ def scan_csv(rows) -> str:
 
 def cmd_scan(args) -> int:
     for bad, message in ((args.steps < 0, "--steps must be >= 0"),
-                         (not (math.isfinite(args.b) and args.b > 0),
-                          "--b must be finite and > 0"),
                          (not all(map(math.isfinite, args.p_range)),
                           "--p-range must be finite"),
                          (not all(map(math.isfinite, args.q_range)),
@@ -396,14 +402,26 @@ def cmd_scan(args) -> int:
     ps = [float(v) for v in np.linspace(*args.p_range, args.steps)]
     qs = [float(v) for v in np.linspace(*args.q_range, args.steps)]
     global_points, blowup_points = [], []
+
+    def refuse(p: float, q: float, exc: ValueError) -> int:
+        print(f"error: scan point (p={p}, q={q}) outside standing assumptions: {exc}",
+              file=sys.stderr)
+        return 2
+
+    # every point shares n and b: their owners check them once, at the
+    # lattice's first corner, also when --steps 0 leaves the lattice empty
+    p0, q0 = args.p_range[0], args.q_range[0]
+    try:
+        base = ProblemParams(n=args.n, p=p0, q=q0, b=args.b)
+        _require_theorem_regime(base)
+    except ValueError as exc:
+        return refuse(p0, q0, exc)
     for p in ps:
         for q in qs:
             try:
-                theory = classify_positive(ProblemParams(n=args.n, p=p, q=q, b=args.b))
+                theory = classify_positive(replace(base, p=p, q=q))
             except ValueError as exc:
-                print(f"error: scan point (p={p}, q={q}) outside standing assumptions: "
-                      f"{exc}", file=sys.stderr)
-                return 2
+                return refuse(p, q, exc)
             (blowup_points if theory.verdict is Verdict.BLOW_UP_ALL
              else global_points).append((p, q, theory))
     out = Path(args.out)

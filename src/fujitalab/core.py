@@ -86,8 +86,9 @@ class CriticalExponents:
 
 
 def _require_dimension(n: int) -> None:
-    """The dimension rule of the problem, its critical exponents and its grid."""
-    if not isinstance(n, int) or n < 1:
+    """The dimension rule of the problem, its critical exponents and its grid
+    (a bool is not an integer here)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
 
 

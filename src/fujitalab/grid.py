@@ -19,7 +19,8 @@ import numpy as np
 from .core import _require_dimension
 
 # the largest M a grid takes: a run holds about a dozen (M+2)-float arrays per
-# column plus the (3, M+1) band of A, so M = 10^7 is about 1 GB
+# column, the (3, M+1) band of A and up to five Kaplan weight vectors, so
+# M = 10^7 is about 1 GB
 M_MAX = 10 ** 7
 
 

@@ -18,6 +18,10 @@ each integral (the Kaplan y too) one weighted row sum on the run's grid.
 snapshot: it steps problems that differ only in p and q in lockstep and
 splits off the columns whose step is rejected, so each column has one
 history, bit for bit its lone run's.  ``run`` is ``run_batch`` with one column.
+A run of the Kaplan class (theta = 1, no forcing, the source term on,
+u0 >= 0) brackets its blow-up time at every record, between the sup-norm
+ODE's bound below and the Kaplan comparison ODE's bound above, and ends
+BlowUp once the two ends agree within ``BRACKET_WIDTH``.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -38,7 +42,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-from .certificates import kaplan_weights
+from .certificates import kaplan_weights, ode_blowup_time
 from .core import ProblemParams
 from .grid import Field, RadialGrid, _integrate_rows
 from .operators import (Reaction, _boundary_gradient, _gradient_rows,
@@ -47,6 +51,9 @@ from .operators import (Reaction, _boundary_gradient, _gradient_rows,
 from scipy.linalg import solve_banded  # noqa: F401
 from .certificates import kaplan_functional  # noqa: F401
 from .operators import principal_eigenpair, rhs  # noqa: F401
+
+# a Kaplan-class run ends BlowUp once |upper - lower| <= BRACKET_WIDTH * lower
+BRACKET_WIDTH = 0.01
 
 TRUNCATION_NOTE = (
     "Dirichlet truncation on B_L: observed blow-up transfers to the whole-space "
@@ -116,6 +123,9 @@ class SolveOutcome:
     t_last_finite: Optional[float] = None
     t_stall: Optional[float] = None
     snapshots: Optional[List[Tuple[float, Field]]] = None
+    # the bracket on the blow-up time of a Kaplan-class run (see ``run_batch``)
+    t_star_lower: Optional[float] = None
+    t_star_upper: Optional[float] = None
 
 
 class ImexStepper:
@@ -153,56 +163,71 @@ class ImexStepper:
         raise LinAlgError("singular matrix")
 
 
-def _step(stepper: ImexStepper, v: np.ndarray, dt: float,
-          reaction: Reaction) -> np.ndarray:
+def _step(stepper: ImexStepper, v: np.ndarray, dt: float, reaction: Reaction,
+          grad: Optional[np.ndarray] = None) -> np.ndarray:
     """One IMEX theta step of every row of the (K, M+2) block v.
 
-    Returns a new block; the boundary column is held fixed.  A row whose
-    right-hand side is not finite comes out not finite (the solve cannot
-    cancel an inf or a NaN), which the caller rejects.
+    Returns a new block; the boundary column is held fixed.  ``grad``, when
+    given, is ``_gradient_rows`` of v, and the step overwrites it.  A row
+    whose right-hand side is not finite comes out not finite (the solve
+    cannot cancel an inf or a NaN), which the caller rejects; the caller also
+    silences the floating-point warnings of such a row (``run_batch`` holds
+    one ``np.errstate`` for the whole run).
     """
     theta = stepper.theta
     out = v.copy()  # the boundary column stays
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grad = None if reaction.gradient is None else _gradient_rows(v, stepper.grid.h_r)
-        b = reaction(v[:, :-1], grad)  # the reaction at the unknowns 0..M only
-        b *= dt
-        b += v[:, :-1]
-        if theta < 1.0:
-            b += dt * (1.0 - theta) * _laplacian_unknowns(stepper.ab, stepper.c_boundary, v)
-        b[:, -1] += theta * dt * stepper.c_boundary * v[:, -1]
-        # b.T is Fortran-ordered, so one dgttrs solves every row in place
-        out[:, :-1] = stepper.solve(dt, b.T).T
+    if reaction.gradient is not None and grad is None:
+        grad = _gradient_rows(v, stepper.grid.h_r)
+    b = reaction(v[:, :-1], grad)  # the reaction at the unknowns 0..M only
+    b *= dt
+    b += v[:, :-1]
+    if theta < 1.0:
+        b += dt * (1.0 - theta) * _laplacian_unknowns(stepper.ab, stepper.c_boundary, v)
+    b[:, -1] += theta * dt * stepper.c_boundary * v[:, -1]
+    # b.T is Fortran-ordered, so one dgttrs solves every row in place
+    out[:, :-1] = stepper.solve(dt, b.T).T
     return out
 
 
 def _record(t: float, dt: float, v: np.ndarray, grid: RadialGrid,
-            kaplan: Optional[np.ndarray]) -> List[TraceRecord]:
+            kaplan: Optional[np.ndarray], grad: np.ndarray) -> List[TraceRecord]:
     """One trace record at time t per row of the finite (K, M+2) block v;
-    ``kaplan`` is the run's ``kaplan_weights``, or None."""
+    ``kaplan`` is the weight vector of the run's ``kaplan_weights``, or None,
+    and ``grad`` is ``_gradient_rows`` of v."""
     ys = [None] * len(v) if kaplan is None else (v * kaplan).sum(axis=1).tolist()
     return [TraceRecord(t, dt, *values) for values in zip(
-        np.max(v, axis=1).tolist(), np.min(v, axis=1).tolist(),
+        v.max(axis=1).tolist(), v.min(axis=1).tolist(),
         _integrate_rows(np.abs(v), grid).tolist(), _integrate_rows(v, grid).tolist(),
-        np.maximum(np.max(_gradient_rows(v, grid.h_r), axis=1),
-                   _boundary_gradient(v, grid.h_r)).tolist(), ys)]
+        np.maximum(grad.max(axis=1), _boundary_gradient(v, grid.h_r)).tolist(), ys)]
 
 
 def _finish(status: Optional[SolveStatus], params: ProblemParams,
             trace: List[TraceRecord], snapshots: Optional[List[Tuple[float, Field]]],
-            u: Field) -> SolveOutcome:
-    """Close a run at the time t of its last trace record: the blow-up time
-    fit when the status is BlowUp, the stall time when it is
-    StepFloorStall.  Status None (dt below the step floor) is BlowUp if
+            u: Field, lower: float = math.nan, upper: float = math.nan) -> SolveOutcome:
+    """Close a run at the time t of its last trace record.  (lower, upper) is
+    the run's bracket on its blow-up time, NaN outside the Kaplan class; it
+    counts as closed only if the run took a step (t > 0).  A BlowUp whose
+    bracket is closed takes the bracket's midpoint; any other BlowUp takes
+    the blow-up time fit, and a StepFloorStall the stall time.  Status None
+    (dt below the step floor) is BlowUp if the bracket is closed, or if
     sup^(1-p) contracted by 3 decades over the growing tail and a blow-up
     time fit exists, else StepFloorStall."""
     t, p = trace[-1].t, float(params.p)
-    est = None if status is SolveStatus.REACHED_HORIZON else detect_blowup(trace, p)
+    closed = t > 0.0 and bool(_closes(lower, upper))
+    if status is SolveStatus.REACHED_HORIZON:
+        est = None
+    elif closed:
+        est = (0.5 * (lower + upper), None)
+    else:
+        est = detect_blowup(trace, p)
     if status is None:
         suffix = _increasing_suffix(trace)
-        blew = est is not None and (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0
+        blew = closed or (est is not None and
+                          (p - 1.0) * math.log10(suffix[-1][1] / suffix[0][1]) >= 3.0)
         status = SolveStatus.BLOW_UP if blew else SolveStatus.STEP_FLOOR_STALL
-    out = SolveOutcome(status=status, trace=trace, final_field=u, snapshots=snapshots)
+    out = SolveOutcome(status=status, trace=trace, final_field=u, snapshots=snapshots,
+                       t_star_lower=lower if math.isfinite(lower) else None,
+                       t_star_upper=upper if math.isfinite(upper) else None)
     if status is SolveStatus.BLOW_UP:
         if est is not None:
             out.t_star_estimate, out.fit_quality = est
@@ -212,11 +237,51 @@ def _finish(status: Optional[SolveStatus], params: ProblemParams,
     return out
 
 
+def _closes(lower, upper):
+    """Whether the bracket (lower, upper) on a blow-up time is closed; NaN
+    ends never are.  Floats or arrays, the latter under ``run_batch``'s errstate."""
+    return abs(upper - lower) <= BRACKET_WIDTH * lower
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder(grid: RadialGrid, kaplan_R: Optional[float],
+            bracket: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(W, lam): the weight vectors of ``kaplan_weights`` as the rows of W and
+    their eigenvalues lam, for the balls B_R with R = ``kaplan_R`` first, when
+    it is set, then, for a ``bracket``, L/16, L/8, L/4 and L/2, save those
+    below two cells 2h.  Kept for the last 16 calls, so both are read-only."""
+    rungs = [] if kaplan_R is None else [kaplan_weights(grid, kaplan_R)]
+    radii = [grid.L / 16.0, grid.L / 8.0, grid.L / 4.0, grid.L / 2.0] if bracket else []
+    for R in radii:
+        if R >= 2.0 * grid.h_r and R != kaplan_R:
+            try:
+                rungs.append(kaplan_weights(grid, R))
+            except RuntimeError:  # the eigen-solve misses from M ~ 1e5 on; a rung less
+                pass
+    w = np.array([w for _, w in rungs]).reshape(len(rungs), grid.M + 2)
+    lam = np.array([lam for lam, _ in rungs])
+    w.setflags(write=False)
+    lam.setflags(write=False)
+    return w, lam
+
+
 def run(params: ProblemParams, u0: Field, h: Optional[Field],
         config: SolveConfig) -> SolveOutcome:
     """Advance the problem from u0 with adaptive steps until the horizon,
     a certified blow-up trigger, or a step-size stall."""
     return run_batch([params], [u0], config, h)[0]
+
+
+@dataclass
+class _Bracket:
+    """Per row of a block: the row's p, and the running ends of the bracket on
+    its blow-up time, NaN for a column outside the Kaplan class."""
+    p: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def take(self, rows: List[int]) -> _Bracket:
+        return _Bracket(self.p[rows], self.lower[rows], self.upper[rows])
 
 
 @dataclass
@@ -228,14 +293,20 @@ class _Block:
     sup: List[float]  # per-row sup |u| as Python floats, cheap to decide on
     t: float
     dt: float
+    bracket: Optional[_Bracket]
     accepted: int = 0
+    # the gradient a trace record took of v, for the next step to use up
+    grad: Optional[np.ndarray] = None
 
     def take(self, rows: List[int]) -> _Block:
         """These rows, in the same state."""
         return replace(self, cols=tuple(self.cols[r] for r in rows), v=self.v[rows],
-                       sup=[self.sup[r] for r in rows])
+                       sup=[self.sup[r] for r in rows],
+                       bracket=None if self.bracket is None else self.bracket.take(rows),
+                       grad=None if self.grad is None else self.grad[rows])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
               config: SolveConfig, h: Optional[Field] = None, *,
               watch: Optional[Callable] = None) -> List[SolveOutcome]:
@@ -255,6 +326,15 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     step-floor rule, once its dt falls below ``dt_min``.  Rows are computed
     independently, so each column has one history, bit for bit its lone
     ``run``'s.
+
+    A column is in the Kaplan class when theta = 1, h is None, the source
+    term is on and u0 >= 0 at every node.  Such a column keeps a bracket on
+    its blow-up time T*, tightened at every trace record at time t:
+    lower = max(lower, t + sup^(1-p)/(p-1)), as D+ sup u <= (sup u)^p where
+    the gradient vanishes at a maximum, and upper = min(upper, t + t*(y_R)),
+    the Kaplan comparison ODE's blow-up time (``ode_blowup_time``) of each
+    y_R of the ``_ladder``.  Once |upper - lower| <= ``BRACKET_WIDTH`` *
+    lower at a record after an accepted step, the column ends BlowUp there.
     """
     if len(params_list) != len(u0s):
         raise ValueError("run_batch needs one initial field per problem")
@@ -264,7 +344,9 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     if any(u.grid != grid for u in u0s):
         raise ValueError("a batch needs one grid")
     stepper = ImexStepper(grid, config.theta_scheme)
-    kaplan = None if config.kaplan_R is None else kaplan_weights(grid, config.kaplan_R)
+    kaplan_class = config.theta_scheme == 1.0 and h is None and params_list[0].use_source
+    ladder, lam = _ladder(grid, config.kaplan_R, kaplan_class)
+    kaplan = None if config.kaplan_R is None else ladder[0]
     threshold = config.blowup_threshold
     t_stop = config.t_end - 1e-14 * config.t_end
     v = np.stack([u.values for u in u0s])
@@ -273,20 +355,37 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     traces: List[List[TraceRecord]] = [[] for _ in u0s]
     snapshots = [[] if config.store_fields else None for _ in u0s]
     outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
+    bracket = None
+    if kaplan_class:
+        in_class = np.all(v >= 0.0, axis=1)
+        bracket = _Bracket(np.array([float(prm.p) for prm in params_list]),
+                           np.where(in_class, -np.inf, np.nan),
+                           np.where(in_class, np.inf, np.nan))
 
     @functools.cache
     def reaction(cols: Tuple[int, ...]) -> Reaction:
         return Reaction(grid, [params_list[k] for k in cols], h)
 
-    def observe(b: _Block, dt: float) -> None:
-        """Append a trace record, and a snapshot if fields are stored, per row of b;
-        show each row to ``watch``."""
-        for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, kaplan), b.v):
+    def observe(b: _Block, dt: float) -> List[int]:
+        """Append a trace record, and a snapshot if fields are stored, per row
+        of b; show each row to ``watch``; tighten the rows' brackets and
+        return the rows whose bracket is closed."""
+        b.grad = _gradient_rows(b.v, grid.h_r)
+        for k, rec, row in zip(b.cols, _record(b.t, dt, b.v, grid, kaplan, b.grad), b.v):
             traces[k].append(rec)
             if config.store_fields:
                 snapshots[k].append((b.t, Field(grid, row.copy())))
             if watch is not None:
                 watch(k, b.t, row)
+        br = b.bracket
+        if br is None:
+            return []
+        e = 1.0 - br.p
+        br.lower = np.maximum(br.lower, b.t - np.array(b.sup) ** e / e)
+        t_ode = ode_blowup_time(b.v @ ladder.T, br.p[:, None], lam).min(axis=1, initial=np.inf)
+        br.upper = np.minimum(br.upper, b.t + t_ode)
+        closed = _closes(br.lower, br.upper)
+        return np.flatnonzero(closed).tolist() if True in closed.tolist() else []
 
     def leave(b: _Block, rows: List[int], status: Optional[SolveStatus]) -> _Block:
         """End these rows of b with ``status`` (None: at the step floor); return the rest."""
@@ -295,20 +394,24 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
         ended = b.take(rows)
         if b.accepted % config.trace_stride:  # the last record is older than b.t
             observe(ended, b.dt)
-        for k, row in zip(ended.cols, ended.v):
-            outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k], Field(grid, row))
+        for r, (k, row) in enumerate(zip(ended.cols, ended.v)):
+            ends = () if ended.bracket is None else (float(ended.bracket.lower[r]),
+                                                      float(ended.bracket.upper[r]))
+            outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
+                                  Field(grid, row), *ends)
         gone = set(rows)
         return b.take([row for row in range(len(b.cols)) if row not in gone])
 
-    blocks = [_Block(tuple(range(len(u0s))), v, np.max(np.abs(v), axis=1).tolist(),
-                     0.0, config.dt_init)]
+    blocks = [_Block(tuple(range(len(u0s))), v, np.abs(v).max(axis=1).tolist(),
+                     0.0, config.dt_init, bracket)]
     observe(blocks[0], config.dt_init)
     while blocks:
         b = blocks.pop()
         while b.cols and b.t < t_stop:
             dt_try = min(b.dt, config.t_end - b.t)
-            candidate = _step(stepper, b.v, dt_try, reaction(b.cols))
-            sup = np.max(np.abs(candidate), axis=1).tolist()
+            candidate = _step(stepper, b.v, dt_try, reaction(b.cols), b.grad)
+            b.grad = None  # used up by the step
+            sup = np.abs(candidate).max(axis=1).tolist()
             # NaN and inf fail the comparison, so an accepted column is finite
             ok = [(s - s0) / max(s0, 1e-300) <= config.growth_cap
                   for s, s0 in zip(sup, b.sup)]
@@ -330,11 +433,10 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
             b.v, b.sup = candidate, sup
             b.t += dt_try
             b.accepted += 1
-            if b.accepted % config.trace_stride == 0:
-                observe(b, dt_try)
-            if max(sup) >= threshold:
-                b = leave(b, [row for row, s in enumerate(sup) if s >= threshold],
-                          SolveStatus.BLOW_UP)
+            closed = observe(b, dt_try) if b.accepted % config.trace_stride == 0 else []
+            if closed or max(sup) >= threshold:
+                b = leave(b, sorted({row for row, s in enumerate(sup) if s >= threshold}
+                                    .union(closed)), SolveStatus.BLOW_UP)
             b.dt = min(b.dt * 1.2, config.dt_max)
         leave(b, list(range(len(b.cols))), SolveStatus.REACHED_HORIZON)
     return outcomes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fujitalab import certificates
+from fujitalab import certificates, solver
 from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
                                     gaussian_certificate,
                                     gaussian_supersolution, gradient_constant,
@@ -18,8 +18,8 @@ from fujitalab.certificates import (GaussianCertificate, certificate_to_json,
 from fujitalab.core import ProblemParams
 from fujitalab.grid import (Field, ProfileSpec, RadialGrid, integrate,
                             sample_profile)
-from fujitalab.operators import laplacian_banded, principal_eigenpair
-from fujitalab.solver import SolveConfig, SolveStatus, run
+from fujitalab.operators import Reaction, laplacian_banded, principal_eigenpair
+from fujitalab.solver import ImexStepper, SolveConfig, SolveStatus, run
 
 
 def ode_blowup_time_oracle(y0: float, p: float, a: float) -> float:
@@ -86,7 +86,7 @@ def kaplan_block(g, R):
 def test_kaplan_weights_are_the_left_perron_vector_of_the_block(n, M, R):
     g = RadialGrid(n, 12.0, M)
     R = {"2h": 2.0 * g.h_r, "L": g.L}.get(R, R)
-    w = kaplan_weights(g, R)
+    lam_m, w = kaplan_weights(g, R)
     m, block = kaplan_block(g, R)
     assert np.all(w[:m] > 0) and np.all(w[m:] == 0.0)
     assert w.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
@@ -95,6 +95,7 @@ def test_kaplan_weights_are_the_left_perron_vector_of_the_block(n, M, R):
     lam = left.sum()  # w sums to 1
     assert lam > 0
     assert np.max(np.abs(left - lam * w[:m])) <= 1e-6 * max(1.0, lam) * np.max(w)
+    assert lam_m == pytest.approx(lam, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -105,14 +106,28 @@ def test_kaplan_y_obeys_the_discrete_kaplan_inequality_at_every_step(n, R, ampli
     # (1 + dt lam_m) y+ >= y + dt y^p up to rounding
     g = RadialGrid(n, 12.0, 300)
     p = 3.0
-    out = run(ProblemParams(n=n, p=p, q=2, b=0.0),
-              sample_profile(ProfileSpec.gaussian(amplitude), g), None,
+    params = ProblemParams(n=n, p=p, q=2, b=0.0)
+    out = run(params, sample_profile(ProfileSpec.gaussian(amplitude), g), None,
               SolveConfig(t_end=2.0, trace_stride=1, kaplan_R=R))
     assert out.status is (SolveStatus.BLOW_UP if amplitude > 1 else SolveStatus.REACHED_HORIZON)
     m, block = kaplan_block(g, R)
-    lam = float((kaplan_weights(g, R)[:m] @ block).sum())
-    slack = [((1.0 + r1.dt * lam) * r1.kaplan_y - r0.kaplan_y - r1.dt * r0.kaplan_y ** p)
-             / ((1.0 + r1.dt * lam) * r1.kaplan_y) for r0, r1 in zip(out.trace, out.trace[1:])]
+    w = kaplan_weights(g, R)[1]
+    lam = float((w[:m] @ block).sum())
+    # a run whose bracket closes ends early: step on past its last record
+    # with the run's own step and growth cap
+    ys, dts = [rec.kaplan_y for rec in out.trace], [rec.dt for rec in out.trace]
+    stepper, reaction = ImexStepper(g, 1.0), Reaction(g, [params])
+    v, dt = out.final_field.values[None], out.trace[-1].dt
+    while len(ys) <= 51:
+        x = solver._step(stepper, v, dt, reaction)
+        if not np.max(x) <= 1.1 * np.max(v):  # NaN fails too
+            dt /= 2.0
+            continue
+        v = x
+        ys.append(float((v * w).sum()))
+        dts.append(dt)
+    slack = [((1.0 + dt1 * lam) * y1 - y0 - dt1 * y0 ** p) / ((1.0 + dt1 * lam) * y1)
+             for y0, y1, dt1 in zip(ys, ys[1:], dts[1:])]
     assert len(slack) > 50 and min(slack) >= -1e-12
 
 
@@ -132,7 +147,7 @@ def test_kaplan_weights_match_interpolation_then_quadrature(n, M, R):
     g = RadialGrid(n, 12.0, M)
     R = g.L if R == "L" else R
     pair = principal_eigenpair(n, float(g.nodes[g.nodes <= R][-1]), 4000)
-    w = kaplan_weights(g, R)
+    w = kaplan_weights(g, R)[1]
     rng = np.random.default_rng(100 * n + M)
     for _ in range(4):
         u = Field(g, rng.uniform(0.5, 2.0) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0)))
@@ -245,6 +260,20 @@ def test_gaussian_certificate_verifies_at_large_n_or_p(n, p, q, b):
     cert = gaussian_certificate(n, p, q, b)
     assert cert.verified
     assert math.isfinite(cert.residual_min) and cert.residual_min >= 0.0
+
+
+def test_a_certificate_refuses_a_boolean_dimension():
+    with pytest.raises(ValueError, match="dimension n must be an integer >= 1, got True"):
+        gaussian_certificate(True, 4, 2, 1)
+
+
+@pytest.mark.parametrize("n, rows", [(1, 400), (300, 400), (10 ** 6, 1)])
+def test_a_certificate_counts_the_lattice_rows_that_check_something(n, rows):
+    # at n = 10^6, eps (t+1)^(k - n/2) underflows on every row past t = 0, so
+    # only the scalar inequality backs the verdict, and the count says so
+    cert = gaussian_certificate(n, 4, 2, 1)
+    assert cert.verified and cert.normal_rows == rows
+    assert certificate_to_json(cert)["lattice"]["normal_rows"] == rows
 
 
 @pytest.mark.parametrize("n", [1, 3, 285])
@@ -494,8 +523,10 @@ def test_rate_exponents_refuse_what_problem_params_and_q_above_1_refuse(n, p, q,
 
 
 def test_rate_exponents_refuse_a_nan_exponent():
-    # p(q-1) and q(p-1) both overflow to inf, so r is NaN
-    with pytest.raises(AssertionError, match="three-way exponent identity"):
+    # p(q-1) and q(p-1) both overflow to inf, so r is NaN: a refused input,
+    # not a broken identity
+    with pytest.raises(ValueError, match=r"n=1, p=1e\+308, q=3.0 leave the float range: "
+                                         r"r=nan"):
         rate_exponents(1, 1e308, 3)
 
 

@@ -91,7 +91,7 @@ def test_run_blowup_scenario(tmp_path):
     cfg = write_config(tmp_path, blowup_config(out_dir))
     assert main(["run", str(cfg)]) == 0
     outcome = json.loads((out_dir / "outcome.json").read_text())
-    assert outcome["schema"] == 1
+    assert outcome["schema"] == 2
     assert outcome["status"] == "BlowUp"
     assert outcome["t_star_estimate"] > 0
     assert "truncation" in outcome["truncation_note"].lower() or outcome["truncation_note"]
@@ -175,6 +175,38 @@ def test_certify_gaussian_sets_no_cap_on_n(capsys):
     # B_12 in dimension 300 is out of float range; the lattice never integrates over it
     assert main(["certify", "--n", "300", "--p", "4", "--q", "2", "--kind", "gaussian"]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_certify_shows_a_vacuous_lattice_cross_check(capsys):
+    assert main(["certify", "--n", "1000000", "--p", "4", "--q", "2", "--kind", "gaussian"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert (doc["lattice"]["points"], doc["lattice"]["normal_rows"]) == (400, 1)
+
+
+ACCEPTANCE_SCAN = ["scan", "--n", "1", "--p-range", "4", "10", "--q-range", "1.4", "1.6",
+                   "--steps", "8", "--budget", "50", "--grid-m", "300"]
+
+
+def test_no_certified_global_point_closes_a_bracket(tmp_path):
+    # a closed bracket would end a certified-global column BlowUp, against its certificate
+    out = tmp_path / "scan"
+    assert main(ACCEPTANCE_SCAN + ["--out", str(out)]) == 0
+    doc = json.loads((out / "scan.json").read_text())
+    assert doc["schema"] == 2
+    rows = {row["verdict_theory"]: [] for row in doc["points"]}
+    for row in doc["points"]:
+        rows[row["verdict_theory"]].append(row)
+    assert len(rows["GlobalForSmallData"]) == len(rows["BlowUpAll"]) == 32
+    for row in rows["GlobalForSmallData"]:
+        lower, upper = row["t_star_lower"], row["t_star_upper"]
+        assert row["verdict_numeric"] == "DominatedToHorizon" and lower is not None
+        assert upper is None or abs(upper - lower) > 0.01 * lower
+    # every blow-up point closes, and reports the midpoint
+    for row in rows["BlowUpAll"]:
+        lower, upper = row["t_star_lower"], row["t_star_upper"]
+        assert row["verdict_numeric"] == "BlowUp" and abs(upper - lower) <= 0.01 * lower
+        assert row["t_star"] == 0.5 * (lower + upper)
 
 
 def test_certify_stationary_cli(tmp_path):
@@ -381,6 +413,7 @@ def posthoc_global_rows(grid, points, b, budget):
     for point, cert, outcome in zip(certified, certs, outcomes):
         row = cli._scan_row(*point)
         row["certificate_eps"] = cert.eps
+        row["t_star_lower"], row["t_star_upper"] = outcome.t_star_lower, outcome.t_star_upper
         dominated = outcome.status is SolveStatus.REACHED_HORIZON
         if dominated:
             for t_snap, u_snap in outcome.snapshots:
@@ -500,7 +533,22 @@ def test_scan_rejects_invalid_inputs(tmp_path, capsys, flag, value):
     out = tmp_path / "scan"
     # argparse keeps the last occurrence of a repeated option
     assert main(SCAN_2X2 + [flag, *value.split(), "--out", str(out)]) == 2
-    assert f"error: {flag}" in capsys.readouterr().err
+    # b's rules are ProblemParams's and the classifier's, met at the lattice's first corner
+    expected = {"0": "theorem-regime classification requires b > 0",
+                "inf": "b must be finite, got inf"}
+    message = (f"error: scan point (p=4.0, q=1.4) outside standing assumptions: "
+               f"{expected[value]}" if flag == "--b" else f"error: {flag}")
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b", ["0", "inf", "nan", "-1"])
+def test_scan_refuses_a_bad_b_also_on_an_empty_lattice(tmp_path, capsys, b):
+    out = tmp_path / "scan"
+    assert main(["scan", "--n", "1", "--p-range", "2", "3", "--q-range", "1.2", "1.4",
+                 "--steps", "0", "--b", b, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: scan point (p=2.0, q=1.2) outside standing assumptions: ")
     assert not out.exists()
 
 

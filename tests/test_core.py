@@ -41,7 +41,7 @@ def test_exponents_reject_bad_dimension():
         critical_exponents(-2)
 
 
-@pytest.mark.parametrize("n", [-1, 0, 2.5, "3"])
+@pytest.mark.parametrize("n", [-1, 0, 2.5, "3", True, False])
 def test_every_reader_of_the_dimension_rule_refuses_with_its_message(n):
     message = f"dimension n must be an integer >= 1, got {n!r}"
     for refuses in (lambda: ProblemParams(n=n, p=3, q=2), lambda: critical_exponents(n),

@@ -9,8 +9,9 @@ from scipy.linalg import LinAlgError, solve_banded
 from fujitalab import solver
 from fujitalab.core import ProblemParams
 from fujitalab.certificates import kaplan_functional, kaplan_weights
-from fujitalab.grid import (Field, Primitive, ProfileSpec, RadialGrid, integrate,
-                            sample_profile)
+from fujitalab.certificates import gaussian_certificate
+from fujitalab.grid import (Field, Primitive, ProfileSpec, RadialGrid, dipole_with_mean,
+                            integrate, sample_profile)
 from fujitalab.operators import (Reaction, gradient_magnitude, laplacian,
                                  laplacian_banded, rhs)
 from fujitalab.solver import (ImexStepper, SolveConfig, SolveStatus,
@@ -114,7 +115,9 @@ def test_step_rows_equal_a_reference_from_public_pieces(n, M, theta):
         if K > 1:
             v[1, M // 2] = np.inf
         dt = float(rng.choice([1e-3, 0.03]))
-        out = solver._step(stepper, v, dt, Reaction(g, params, h))
+        # the inf row's warnings are the caller's to silence, as run_batch does
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = solver._step(stepper, v, dt, Reaction(g, params, h))
         for row, prm, got in zip(v, params, out):
             if np.all(np.isfinite(row)):
                 want = reference_step(Field(g, row), dt, prm, h, theta, banded)
@@ -361,7 +364,8 @@ def test_record_rows_equal_the_one_field_functions(K, n, M, kaplan):
     g = RadialGrid(n, 12.0, M)
     rng = np.random.default_rng(K * n * M)
     v = rng.standard_normal((K, M + 2)) * np.exp(-g.nodes ** 2 / rng.uniform(1.0, 40.0))
-    records = solver._record(0.25, 1e-3, v, g, kaplan_weights(g, 3.0) if kaplan else None)
+    records = solver._record(0.25, 1e-3, v, g, kaplan_weights(g, 3.0)[1] if kaplan else None,
+                             solver._gradient_rows(v, g.h_r))
     assert len(records) == K
     for rec, row in zip(records, v):
         u = Field(g, row)
@@ -380,7 +384,8 @@ def test_record_reads_the_gradient_at_the_boundary_node():
     u = Field(g, 25.0 - g.nodes ** 2)
     g_L = gradient_magnitude(u).values[-1]
     assert g_L > np.max(gradient_magnitude(u).values[:-1])
-    (rec,) = solver._record(0.0, 1e-3, u.values[None], g, None)
+    (rec,) = solver._record(0.0, 1e-3, u.values[None], g, None,
+                            solver._gradient_rows(u.values[None], g.h_r))
     assert rec.sup_grad_u == g_L
 
 
@@ -405,9 +410,10 @@ def assert_same_outcome(got, want):
     """Bit-for-bit equality of two outcomes: status, estimates, trace,
     final field and snapshots."""
     assert got.status is want.status
-    assert ((got.t_star_estimate, got.fit_quality, got.t_last_finite, got.t_stall)
+    assert ((got.t_star_estimate, got.fit_quality, got.t_last_finite, got.t_stall,
+             got.t_star_lower, got.t_star_upper)
             == (want.t_star_estimate, want.fit_quality, want.t_last_finite,
-                want.t_stall))
+                want.t_stall, want.t_star_lower, want.t_star_upper))
     assert trace_to_csv(got.trace) == trace_to_csv(want.trace)
     assert got.final_field.values.tobytes() == want.final_field.values.tobytes()
     assert (got.snapshots is None) == (want.snapshots is None)
@@ -605,3 +611,129 @@ def test_run_batch_refusals(columns, forcing_m, kaplan_R, message):
     with pytest.raises(ValueError, match=message):
         run_batch([ProblemParams(n=1, p=3, q=2)] * columns, u0s,
                   SolveConfig(t_end=0.1, kaplan_R=kaplan_R), h)
+
+
+# ---------------------------------------------------------------------------
+# The Kaplan/sup bracket on the blow-up time
+# ---------------------------------------------------------------------------
+
+def closed(out):
+    """Whether the outcome's bracket is closed, by the rule the run applies."""
+    lower, upper = out.t_star_lower, out.t_star_upper
+    return (lower is not None and upper is not None
+            and abs(upper - lower) <= solver.BRACKET_WIDTH * lower)
+
+
+def blowup_datum(g, amplitude=1.0):
+    return gaussian_data(g, [amplitude])[0]
+
+
+def test_a_closed_bracket_ends_a_run_blowup_at_its_midpoint(monkeypatch):
+    g = RadialGrid(1, 12.0, 300)
+    params = ProblemParams(n=1, p=2, q=2)
+    cfg = SolveConfig(t_end=50.0, dt_init=1e-3, dt_min=1e-10, dt_max=5e-2, trace_stride=2)
+    out = run(params, blowup_datum(g), None, cfg)
+    assert out.status is SolveStatus.BLOW_UP and closed(out)
+    assert out.fit_quality is None
+    assert out.t_star_estimate == 0.5 * (out.t_star_lower + out.t_star_upper)
+    assert out.t_last_finite == out.trace[-1].t
+    # the evidence is the bracket, far below the blow-up threshold
+    assert out.trace[-1].sup_u < 1e3 < cfg.blowup_threshold
+    # the lower end is the sup bound taken at every record
+    assert out.t_star_lower == pytest.approx(
+        max(rec.t + rec.sup_u ** (1.0 - 2.0) for rec in out.trace), rel=1e-14)
+    # with no bracket allowed to close, the same run goes on along the same records
+    monkeypatch.setattr(solver, "BRACKET_WIDTH", -1.0)
+    open_out = run(params, blowup_datum(g), None, cfg)
+    assert open_out.status is SolveStatus.BLOW_UP and open_out.fit_quality is not None
+    assert len(open_out.trace) > len(out.trace)
+    assert trace_to_csv(open_out.trace).startswith(trace_to_csv(out.trace))
+    assert (open_out.t_star_lower, open_out.t_star_upper) != (out.t_star_lower,
+                                                             out.t_star_upper)
+
+
+def test_a_step_floor_ending_with_a_closed_bracket_is_blowup():
+    # no record between t = 0 and the step floor, and no threshold: the run
+    # stalls, and the record taken at the floor closes its bracket
+    g = RadialGrid(1, 12.0, 300)
+    cfg = SolveConfig(t_end=50.0, dt_min=1e-6, trace_stride=10 ** 6, blowup_threshold=1e300)
+    out = run(ProblemParams(n=1, p=2, q=2), blowup_datum(g), None, cfg)
+    assert len(out.trace) == 2 and out.trace[-1].dt < cfg.dt_min
+    assert out.status is SolveStatus.BLOW_UP and closed(out)
+    assert (out.t_stall, out.fit_quality) == (None, None)
+    assert out.t_star_estimate == 0.5 * (out.t_star_lower + out.t_star_upper)
+
+
+def test_finish_decides_a_step_floor_ending_by_its_bracket():
+    g = RadialGrid(1, 12.0, 100)
+    u = Field(g, np.ones_like(g.nodes))
+    params = ProblemParams(n=1, p=2, q=2)
+    flat = synthetic_trace(np.linspace(0.0, 1.0, 10), np.ones(10))  # no fit: a stall
+    assert solver._finish(None, params, flat, None, u).status is SolveStatus.STEP_FLOOR_STALL
+    out = solver._finish(None, params, flat, None, u, 2.0, 2.01)
+    assert (out.status, out.t_star_estimate, out.fit_quality, out.t_stall) == (
+        SolveStatus.BLOW_UP, 2.005, None, None)
+    wide = solver._finish(None, params, flat, None, u, 2.0, 2.05)
+    assert (wide.status, wide.t_star_lower, wide.t_star_upper) == (
+        SolveStatus.STEP_FLOOR_STALL, 2.0, 2.05)
+    # a run that took no step ends BlowUp by nothing, its bracket included
+    still = synthetic_trace([0.0], [1.0])
+    assert solver._finish(None, params, still, None, u, 2.0, 2.01).status is \
+        SolveStatus.STEP_FLOOR_STALL
+    # a reached horizon stays one
+    horizon = solver._finish(SolveStatus.REACHED_HORIZON, params, flat, None, u, 2.0, 2.01)
+    assert (horizon.status, horizon.t_star_estimate) == (SolveStatus.REACHED_HORIZON, None)
+
+
+@pytest.mark.parametrize("case", ["sign-changing", "forced", "theta-0.5", "no-source"])
+def test_a_run_outside_the_kaplan_class_has_no_bracket_and_keeps_the_fit(case):
+    g = RadialGrid(1, 12.0, 300)
+    params = ProblemParams(n=1, p=2, q=2, use_source=case != "no-source")
+    u0, h = blowup_datum(g), None
+    cfg = SolveConfig(t_end=50.0 if case != "no-source" else 2.0, dt_min=1e-10,
+                      trace_stride=2, theta_scheme=0.5 if case == "theta-0.5" else 1.0)
+    if case == "sign-changing":
+        u0 = sample_profile(dipole_with_mean(2.5, centers=(1.6, 4.2), widths=(1.2, 1.2),
+                                             grid=g, target_mean=1e-3), g)
+        u0.values[-1] = 0.0
+        assert np.min(u0.values) < 0
+    if case == "forced":
+        h = sample_profile(ProfileSpec.gaussian(0.01), g)
+    out = run(params, u0, h, cfg)
+    assert (out.t_star_lower, out.t_star_upper) == (None, None)
+    if case == "no-source":
+        assert out.status is SolveStatus.REACHED_HORIZON
+    else:
+        assert out.status is SolveStatus.BLOW_UP
+        assert out.fit_quality is not None
+
+
+def test_run_batch_columns_that_close_equal_run():
+    g = RadialGrid(1, 12.0, 200)
+    pq = [(2.0, 2.0), (3.0, 1.5), (2.5, 1.2), (4.0, 2.0), (2.0, 1.5)]
+    params = [ProblemParams(n=1, p=p, q=q) for p, q in pq]
+    u0s = gaussian_data(g, [1.0, 1.5, 0.8, 0.05, 1.0])
+    # the last column changes sign, so it is outside the Kaplan class
+    u0s[-1] = sample_profile(dipole_with_mean(2.5, centers=(1.6, 4.2), widths=(1.2, 1.2),
+                                              grid=g, target_mean=1e-3), g)
+    u0s[-1].values[-1] = 0.0
+    cfg = SolveConfig(t_end=5.0, dt_init=1e-3, dt_min=1e-10, dt_max=2e-2,
+                      trace_stride=3, kaplan_R=3.0, store_fields=True)
+    outcomes = run_batch(params, u0s, cfg)
+    assert [closed(o) for o in outcomes] == [True, True, True, False, False]
+    assert outcomes[3].status is SolveStatus.REACHED_HORIZON
+    assert outcomes[4].t_star_lower is None and outcomes[4].fit_quality is not None
+    for got, prm, u0 in zip(outcomes, params, u0s):
+        assert_same_outcome(got, run(prm, u0, None, cfg))
+
+
+def test_a_certified_global_run_never_closes_its_bracket():
+    # shaped like the global_long benchmark: the gaussian certificate of
+    # n = 1, p = 4, q = 2 dominates the datum, so the run cannot blow up
+    cert = gaussian_certificate(1, 4, 2, 1)
+    g = RadialGrid(1, 12.0, 1200)
+    u0 = gaussian_data(g, [0.98 * cert.eps])[0]
+    cfg = SolveConfig(t_end=10.0, dt_init=1e-4, dt_min=1e-8, dt_max=1e-3, trace_stride=50)
+    out = run(ProblemParams(n=1, p=4, q=2), u0, None, cfg)
+    assert out.status is SolveStatus.REACHED_HORIZON
+    assert out.t_star_lower is not None and not closed(out)
