@@ -67,7 +67,10 @@ def kaplan_weights(grid: RadialGrid, R: float) -> Tuple[float, np.ndarray]:
     m = kaplan_nodes(grid, R)
     a = laplacian_banded(grid)[0][:, :m]
     # the transposed block of -A: sub- and super-diagonal swap, one column apart
-    lam, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
+    try:
+        lam, x = principal_vector(-np.stack([np.roll(a[2], 1), a[1], np.roll(a[0], -1)]))
+    except RuntimeError as exc:  # the residual check misses on fine grids (M ~ 1e5 on)
+        raise ValueError(f"kaplan_R={R!r} on M={grid.M}: {exc}") from exc
     w = np.zeros(grid.M + 2)
     w[:m] = x / x.sum()
     return lam, w

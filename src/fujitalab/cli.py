@@ -181,7 +181,9 @@ def parse_scenario(doc: dict):
     grid = RadialGrid(params.n, **_section(sections["grid"], _GRID_KEYS, "grid",
                                            required=_GRID_KEYS))
     solve = _section(sections["solve"], _SOLVE_KEYS, "solve")
-    if "kaplan_R" in solve:  # refused here, before the output directory is made
+    # the ball rule is refused here, before the output directory is made; a grid
+    # whose eigen-solve misses is refused by ``run``, after it is made
+    if "kaplan_R" in solve:
         kaplan_nodes(grid, solve["kaplan_R"])
     profile = _parse_profile(sections["profile"])
     out = _section(sections.get("output", {}), _OUTPUT_KEYS, "output")

@@ -21,7 +21,8 @@ history, bit for bit its lone run's.  ``run`` is ``run_batch`` with one column.
 A run of the Kaplan class (theta = 1, no forcing, the source term on,
 u0 >= 0) brackets its blow-up time at every record, between the sup-norm
 ODE's bound below and the Kaplan comparison ODE's bound above, and ends
-BlowUp once the two ends agree within ``BRACKET_WIDTH``.
+BlowUp once the two ends agree within ``BRACKET_WIDTH``; any other column
+carries NaN ends, which never close.
 
 Truncation semantics (stated in every report): the Dirichlet problem on
 B_L is a subsolution of the whole-space problem for nonnegative data, so a
@@ -74,7 +75,7 @@ class SolveConfig:
     # theta < 1 only at dt <= 1/((1-theta) max_i(c_plus + c_minus)), c_plus + c_minus = -A_ii
     theta_scheme: float = 1.0
     trace_stride: int = 10
-    kaplan_R: Optional[float] = None  # refused by ``kaplan_nodes`` when a run starts
+    kaplan_R: Optional[float] = None  # refused by ``kaplan_weights`` when a run starts
     store_fields: bool = False
 
     def __post_init__(self) -> None:
@@ -256,7 +257,7 @@ def _ladder(grid: RadialGrid, kaplan_R: Optional[float],
         if R >= 2.0 * grid.h_r and R != kaplan_R:
             try:
                 rungs.append(kaplan_weights(grid, R))
-            except RuntimeError:  # the eigen-solve misses from M ~ 1e5 on; a rung less
+            except ValueError:  # the eigen-solve misses from M ~ 1e5 on; a rung less
                 pass
     w = np.array([w for _, w in rungs]).reshape(len(rungs), grid.M + 2)
     lam = np.array([lam for lam, _ in rungs])
@@ -273,18 +274,6 @@ def run(params: ProblemParams, u0: Field, h: Optional[Field],
 
 
 @dataclass
-class _Bracket:
-    """Per row of a block: the row's p, and the running ends of the bracket on
-    its blow-up time, NaN for a column outside the Kaplan class."""
-    p: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def take(self, rows: List[int]) -> _Bracket:
-        return _Bracket(self.p[rows], self.lower[rows], self.upper[rows])
-
-
-@dataclass
 class _Block:
     """Batch columns whose lone runs are in one state: the same t, dt and
     accepted-step count, so they step as one block."""
@@ -293,7 +282,10 @@ class _Block:
     sup: List[float]  # per-row sup |u| as Python floats, cheap to decide on
     t: float
     dt: float
-    bracket: Optional[_Bracket]
+    # per row: p, and the running ends of the bracket on the blow-up time (NaN: none)
+    p: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     accepted: int = 0
     # the gradient a trace record took of v, for the next step to use up
     grad: Optional[np.ndarray] = None
@@ -301,8 +293,8 @@ class _Block:
     def take(self, rows: List[int]) -> _Block:
         """These rows, in the same state."""
         return replace(self, cols=tuple(self.cols[r] for r in rows), v=self.v[rows],
-                       sup=[self.sup[r] for r in rows],
-                       bracket=None if self.bracket is None else self.bracket.take(rows),
+                       sup=[self.sup[r] for r in rows], p=self.p[rows],
+                       lower=self.lower[rows], upper=self.upper[rows],
                        grad=None if self.grad is None else self.grad[rows])
 
 
@@ -335,6 +327,7 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     the Kaplan comparison ODE's blow-up time (``ode_blowup_time``) of each
     y_R of the ``_ladder``.  Once |upper - lower| <= ``BRACKET_WIDTH`` *
     lower at a record after an accepted step, the column ends BlowUp there.
+    Any other column has NaN ends, which never close (None in its outcome).
     """
     if len(params_list) != len(u0s):
         raise ValueError("run_batch needs one initial field per problem")
@@ -355,12 +348,8 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
     traces: List[List[TraceRecord]] = [[] for _ in u0s]
     snapshots = [[] if config.store_fields else None for _ in u0s]
     outcomes: List[Optional[SolveOutcome]] = [None] * len(u0s)
-    bracket = None
-    if kaplan_class:
-        in_class = np.all(v >= 0.0, axis=1)
-        bracket = _Bracket(np.array([float(prm.p) for prm in params_list]),
-                           np.where(in_class, -np.inf, np.nan),
-                           np.where(in_class, np.inf, np.nan))
+    ps = np.array([float(prm.p) for prm in params_list])
+    lower = np.where(kaplan_class & np.all(v >= 0.0, axis=1), -np.inf, np.nan)
 
     @functools.cache
     def reaction(cols: Tuple[int, ...]) -> Reaction:
@@ -377,14 +366,11 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
                 snapshots[k].append((b.t, Field(grid, row.copy())))
             if watch is not None:
                 watch(k, b.t, row)
-        br = b.bracket
-        if br is None:
-            return []
-        e = 1.0 - br.p
-        br.lower = np.maximum(br.lower, b.t - np.array(b.sup) ** e / e)
-        t_ode = ode_blowup_time(b.v @ ladder.T, br.p[:, None], lam).min(axis=1, initial=np.inf)
-        br.upper = np.minimum(br.upper, b.t + t_ode)
-        closed = _closes(br.lower, br.upper)
+        e = 1.0 - b.p
+        b.lower = np.maximum(b.lower, b.t - np.array(b.sup) ** e / e)
+        t_ode = ode_blowup_time(b.v @ ladder.T, b.p[:, None], lam).min(axis=1, initial=np.inf)
+        b.upper = np.minimum(b.upper, b.t + t_ode)
+        closed = _closes(b.lower, b.upper)
         return np.flatnonzero(closed).tolist() if True in closed.tolist() else []
 
     def leave(b: _Block, rows: List[int], status: Optional[SolveStatus]) -> _Block:
@@ -394,16 +380,14 @@ def run_batch(params_list: Sequence[ProblemParams], u0s: Sequence[Field],
         ended = b.take(rows)
         if b.accepted % config.trace_stride:  # the last record is older than b.t
             observe(ended, b.dt)
-        for r, (k, row) in enumerate(zip(ended.cols, ended.v)):
-            ends = () if ended.bracket is None else (float(ended.bracket.lower[r]),
-                                                      float(ended.bracket.upper[r]))
+        for k, row, lo, up in zip(ended.cols, ended.v, ended.lower.tolist(), ended.upper.tolist()):
             outcomes[k] = _finish(status, params_list[k], traces[k], snapshots[k],
-                                  Field(grid, row), *ends)
+                                  Field(grid, row), lo, up)
         gone = set(rows)
         return b.take([row for row in range(len(b.cols)) if row not in gone])
 
-    blocks = [_Block(tuple(range(len(u0s))), v, np.abs(v).max(axis=1).tolist(),
-                     0.0, config.dt_init, bracket)]
+    blocks = [_Block(tuple(range(len(u0s))), v, np.abs(v).max(axis=1).tolist(), 0.0,
+                     config.dt_init, ps, lower, -lower)]
     observe(blocks[0], config.dt_init)
     while blocks:
         b = blocks.pop()

@@ -767,6 +767,19 @@ def test_parse_scenario_refuses_a_kaplan_ball_as_kaplan_weights_does(kaplan_R):
     assert str(parsed.value).startswith("kaplan_R: expected two grid cells")
 
 
+def test_run_refuses_a_kaplan_ball_whose_eigen_solve_misses(tmp_path, capsys):
+    # the ball rule holds, but on this fine grid the eigen-solve misses its
+    # residual check: exit 2 with the radius and the grid, not a traceback
+    doc = blowup_config(tmp_path / "out")
+    doc["grid"]["M"] = 100000
+    doc["solve"].update(t_end=1e-3, kaplan_R=3.0)
+    parse_scenario(doc)
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: kaplan_R=3.0 on M=100000: ")
+    assert "missed the eigenvector" in err
+
+
 def test_run_rejects_a_dimension_whose_sphere_area_overflows(tmp_path, capsys):
     out_dir = tmp_path / "out"
     doc = blowup_config(out_dir)

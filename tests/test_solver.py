@@ -685,13 +685,21 @@ def test_finish_decides_a_step_floor_ending_by_its_bracket():
     assert (horizon.status, horizon.t_star_estimate) == (SolveStatus.REACHED_HORIZON, None)
 
 
-@pytest.mark.parametrize("case", ["sign-changing", "forced", "theta-0.5", "no-source"])
-def test_a_run_outside_the_kaplan_class_has_no_bracket_and_keeps_the_fit(case):
+_OUT_OF_CLASS = ["sign-changing", "forced", "theta-0.5", "no-source"]
+
+
+# with kaplan_R set, the ladder has a rung, so an out-of-class run's NaN ends
+# meet a finite Kaplan bound at every record and must stay NaN
+@pytest.mark.parametrize("case, kaplan_R", [(case, None) for case in _OUT_OF_CLASS]
+                         + [(case, 3.0) for case in _OUT_OF_CLASS],
+                         ids=_OUT_OF_CLASS + [f"{case}-kaplan_R-3" for case in _OUT_OF_CLASS])
+def test_a_run_outside_the_kaplan_class_has_no_bracket_and_keeps_the_fit(case, kaplan_R):
     g = RadialGrid(1, 12.0, 300)
     params = ProblemParams(n=1, p=2, q=2, use_source=case != "no-source")
     u0, h = blowup_datum(g), None
     cfg = SolveConfig(t_end=50.0 if case != "no-source" else 2.0, dt_min=1e-10,
-                      trace_stride=2, theta_scheme=0.5 if case == "theta-0.5" else 1.0)
+                      trace_stride=2, theta_scheme=0.5 if case == "theta-0.5" else 1.0,
+                      kaplan_R=kaplan_R)
     if case == "sign-changing":
         u0 = sample_profile(dipole_with_mean(2.5, centers=(1.6, 4.2), widths=(1.2, 1.2),
                                              grid=g, target_mean=1e-3), g)
@@ -701,11 +709,23 @@ def test_a_run_outside_the_kaplan_class_has_no_bracket_and_keeps_the_fit(case):
         h = sample_profile(ProfileSpec.gaussian(0.01), g)
     out = run(params, u0, h, cfg)
     assert (out.t_star_lower, out.t_star_upper) == (None, None)
+    assert all((rec.kaplan_y is None) == (kaplan_R is None) for rec in out.trace)
     if case == "no-source":
         assert out.status is SolveStatus.REACHED_HORIZON
     else:
         assert out.status is SolveStatus.BLOW_UP
         assert out.fit_quality is not None
+
+
+def test_the_ladder_drops_a_rung_whose_eigen_solve_misses():
+    # on this grid the eigen-solve misses its residual check for some rungs
+    g = RadialGrid(1, 12.0, 100000)
+    w, lam = solver._ladder(g, None, True)
+    assert 0 < len(w) < 4 and len(lam) == len(w)
+    assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # a Kaplan-class run there brackets with the rungs that are left
+    out = run(ProblemParams(n=1, p=2, q=2), blowup_datum(g), None, SolveConfig(t_end=1e-2))
+    assert out.status is SolveStatus.REACHED_HORIZON
 
 
 def test_run_batch_columns_that_close_equal_run():
